@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     SearchOptions drop_opts = exact_opts;
     drop_opts.drop_zero_rows = true;
 
-    Agg exact_agg, drop_agg;
+    RunStats exact_agg, drop_agg;
     double max_score_delta = 0.0;
     int64_t changed_results = 0;
     for (const datagen::GeneratedEs& es : workload.es) {
@@ -54,18 +54,11 @@ int main(int argc, char** argv) {
     }
     std::printf("(a) exact join semantics vs drop-zero-rows shortcut\n");
     TablePrinter tp({"variant", "FastTopK (ms)", "model cost/ES"});
-    tp.AddRow({"exact (default)",
-               TablePrinter::Num(exact_agg.AvgTotalMs(), 3),
-               TablePrinter::Int(exact_agg.runs == 0
-                                     ? 0
-                                     : exact_agg.model_cost /
-                                           exact_agg.runs)});
-    tp.AddRow({"drop-zero-rows",
-               TablePrinter::Num(drop_agg.AvgTotalMs(), 3),
-               TablePrinter::Int(drop_agg.runs == 0
-                                     ? 0
-                                     : drop_agg.model_cost /
-                                           drop_agg.runs)});
+    for (const auto& [name, a] : {std::pair{"exact (default)", &exact_agg},
+                                  std::pair{"drop-zero-rows", &drop_agg}}) {
+      tp.AddRow({name, TablePrinter::Num(AvgTotalMs(*a), 3),
+                 TablePrinter::Num(PerSearch(*a, a->model_cost), 0)});
+    }
     tp.Print();
     std::printf("max |score delta| across top-k: %.4f;"
                 " result swaps: %lld\n\n",
@@ -79,7 +72,7 @@ int main(int argc, char** argv) {
     SearchOptions no_cache = with_cache;
     no_cache.cache_budget_bytes = 1;  // nothing fits
 
-    Agg with_agg, without_agg;
+    RunStats with_agg, without_agg;
     for (const datagen::GeneratedEs& es : workload.es) {
       with_agg.Add(SearchFastTopK(*world->index, *world->graph, es.sheet,
                                   with_cache)
@@ -91,13 +84,11 @@ int main(int argc, char** argv) {
     std::printf("(b) FASTTOPK with vs without a usable cache\n");
     TablePrinter tp({"variant", "FastTopK (ms)", "cache hits/ES",
                      "critical subs/ES"});
-    auto row = [&](const char* name, const Agg& a) {
-      tp.AddRow({name, TablePrinter::Num(a.AvgTotalMs(), 3),
-                 TablePrinter::Num(static_cast<double>(a.cache_hits) /
-                                       static_cast<double>(a.runs),
+    auto row = [&](const char* name, const RunStats& a) {
+      tp.AddRow({name, TablePrinter::Num(AvgTotalMs(a), 3),
+                 TablePrinter::Num(PerSearch(a, a.cache.hits),
                                    1),
-                 TablePrinter::Num(static_cast<double>(a.critical_subs) /
-                                       static_cast<double>(a.runs),
+                 TablePrinter::Num(PerSearch(a, a.critical_subs_cached),
                                    1)});
     };
     row("B = 500 MiB (default)", with_agg);
@@ -113,7 +104,7 @@ int main(int argc, char** argv) {
     SearchOptions sig_root = cheap_root;
     sig_root.enumeration.cost_aware_rooting = false;
 
-    Agg cheap_agg, sig_agg;
+    RunStats cheap_agg, sig_agg;
     for (const datagen::GeneratedEs& es : workload.es) {
       cheap_agg.Add(SearchFastTopK(*world->index, *world->graph, es.sheet,
                                    cheap_root)
@@ -125,14 +116,12 @@ int main(int argc, char** argv) {
     std::printf("(c) join-tree rooting policy (affects sub-PJ sharing)\n");
     TablePrinter tp({"variant", "FastTopK (ms)", "cache hits/ES"});
     tp.AddRow({"cost-aware rooting (default)",
-               TablePrinter::Num(cheap_agg.AvgTotalMs(), 3),
-               TablePrinter::Num(static_cast<double>(cheap_agg.cache_hits) /
-                                     static_cast<double>(cheap_agg.runs),
+               TablePrinter::Num(AvgTotalMs(cheap_agg), 3),
+               TablePrinter::Num(PerSearch(cheap_agg, cheap_agg.cache.hits),
                                  1)});
     tp.AddRow({"signature rooting",
-               TablePrinter::Num(sig_agg.AvgTotalMs(), 3),
-               TablePrinter::Num(static_cast<double>(sig_agg.cache_hits) /
-                                     static_cast<double>(sig_agg.runs),
+               TablePrinter::Num(AvgTotalMs(sig_agg), 3),
+               TablePrinter::Num(PerSearch(sig_agg, sig_agg.cache.hits),
                                  1)});
     tp.Print();
   }

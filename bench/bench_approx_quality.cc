@@ -32,12 +32,7 @@ struct QualityAgg {
   double tie_recall_sum = 0.0;
   int64_t recall_runs = 0;
   int64_t max_displacement = 0;
-  int64_t approx_sampled = 0;
-  int64_t approx_skipped = 0;
-  int64_t approx_escalated = 0;
-  int64_t approx_samples = 0;
-  int64_t queries_evaluated = 0;
-  double eval_seconds = 0.0;
+  RunStats stats;  // one run per ES (the first repetition)
 
   double P50Ms() {
     if (latencies_ms.empty()) return 0.0;
@@ -151,8 +146,7 @@ int main(int argc, char** argv) {
       const double ms = 1e3 * timer.ElapsedSeconds();
       if (rep == 0) {
         best_ms = ms;
-        exact_agg.queries_evaluated += r.stats.queries_evaluated;
-        exact_agg.eval_seconds += r.stats.eval_seconds;
+        exact_agg.stats.Add(r.stats);
         exact[i] = std::move(r);
       } else {
         best_ms = std::min(best_ms, ms);
@@ -162,9 +156,7 @@ int main(int argc, char** argv) {
   }
   const double exact_p50 = exact_agg.P50Ms();
   JsonMetric("exact", "p50_ms", exact_p50);
-  JsonMetric("exact", "queries_evaluated",
-             static_cast<double>(exact_agg.queries_evaluated));
-  JsonMetric("exact", "eval_ms_total", 1e3 * exact_agg.eval_seconds);
+  JsonRunStats("exact", exact_agg.stats);
 
   struct Config {
     double epsilon;
@@ -219,12 +211,7 @@ int main(int argc, char** argv) {
         }
       }
       agg.latencies_ms.push_back(best_ms);
-      agg.approx_sampled += r.stats.approx_sampled;
-      agg.approx_skipped += r.stats.approx_skipped;
-      agg.approx_escalated += r.stats.approx_escalated;
-      agg.approx_samples += r.stats.approx_samples;
-      agg.queries_evaluated += r.stats.queries_evaluated;
-      agg.eval_seconds += r.stats.eval_seconds;
+      agg.stats.Add(r.stats);
       ScoreAgainstExact(prep->ctx, options.score.alpha, exact[i].topk,
                         r.topk, &agg);
       if (std::getenv("S4_BENCH_APPROX_DIAG") != nullptr &&
@@ -271,9 +258,9 @@ int main(int argc, char** argv) {
                   TablePrinter::Num(agg.Recall(), 3),
                   TablePrinter::Num(agg.TieRecall(), 3),
                   std::to_string(agg.max_displacement),
-                  std::to_string(agg.approx_sampled),
-                  std::to_string(agg.approx_skipped),
-                  std::to_string(agg.approx_escalated)});
+                  std::to_string(agg.stats.approx_sampled),
+                  std::to_string(agg.stats.approx_skipped),
+                  std::to_string(agg.stats.approx_escalated)});
 
     const std::string section =
         "eps=" + TablePrinter::Num(cfg.epsilon, 2) +
@@ -285,17 +272,7 @@ int main(int argc, char** argv) {
     JsonMetric(section, "tie_recall_at_k", agg.TieRecall());
     JsonMetric(section, "max_rank_displacement",
                static_cast<double>(agg.max_displacement));
-    JsonMetric(section, "approx_sampled",
-               static_cast<double>(agg.approx_sampled));
-    JsonMetric(section, "approx_skipped",
-               static_cast<double>(agg.approx_skipped));
-    JsonMetric(section, "approx_escalated",
-               static_cast<double>(agg.approx_escalated));
-    JsonMetric(section, "approx_samples",
-               static_cast<double>(agg.approx_samples));
-    JsonMetric(section, "queries_evaluated",
-               static_cast<double>(agg.queries_evaluated));
-    JsonMetric(section, "eval_ms_total", 1e3 * agg.eval_seconds);
+    JsonRunStats(section, agg.stats);
 
     if (smoke && cfg.epsilon == 0.0 && agg.Recall() != 1.0) {
       smoke_ok = false;

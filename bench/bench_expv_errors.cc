@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
     SearchOptions options;
     options.enumeration.max_tree_size = 4;
-    Agg base_agg, fast_agg;
+    RunStats base_agg, fast_agg;
     double top1 = 0.0;
     int64_t top1_n = 0;
     for (const datagen::GeneratedEs& es : workload.es) {
@@ -44,13 +44,13 @@ int main(int argc, char** argv) {
       }
     }
     tp.AddRow({TablePrinter::Int(errors),
-               TablePrinter::Num(base_agg.AvgTotalMs(), 3),
-               TablePrinter::Num(fast_agg.AvgTotalMs(), 3),
+               TablePrinter::Num(AvgTotalMs(base_agg), 3),
+               TablePrinter::Num(AvgTotalMs(fast_agg), 3),
                TablePrinter::Num(
-                   base_agg.AvgTotalMs() / fast_agg.AvgTotalMs(), 2) +
+                   AvgTotalMs(base_agg) / AvgTotalMs(fast_agg), 2) +
                    "x",
-               TablePrinter::Num(base_agg.AvgRowEvals(), 1),
-               TablePrinter::Num(fast_agg.AvgRowEvals(), 1),
+               TablePrinter::Num(PerSearch(base_agg, base_agg.query_row_evals), 1),
+               TablePrinter::Num(PerSearch(fast_agg, fast_agg.query_row_evals), 1),
                TablePrinter::Num(top1_n ? top1 / top1_n : 0.0, 2)});
   }
   tp.Print();

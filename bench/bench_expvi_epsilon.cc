@@ -26,22 +26,17 @@ int main(int argc, char** argv) {
     SearchOptions options;
     options.enumeration.max_tree_size = 4;
     options.epsilon = eps;
-    Agg agg;
-    int64_t batches = 0;
+    RunStats agg;
     for (const datagen::GeneratedEs& es : workload.es) {
       PreparedSearch prep(*world->index, *world->graph, es.sheet, options);
       SearchResult r = RunFastTopK(prep, options);
       agg.Add(r.stats);
-      batches += r.stats.batches;
     }
     tp.AddRow({TablePrinter::Num(eps, 1),
-               TablePrinter::Num(agg.AvgTotalMs(), 3),
-               TablePrinter::Num(static_cast<double>(batches) /
-                                     static_cast<double>(agg.runs),
-                                 2),
-               TablePrinter::Num(agg.AvgEvaluated(), 1),
-               TablePrinter::Num(static_cast<double>(agg.skipped) /
-                                     static_cast<double>(agg.runs),
+               TablePrinter::Num(AvgTotalMs(agg), 3),
+               TablePrinter::Num(PerSearch(agg, agg.batches), 2),
+               TablePrinter::Num(PerSearch(agg, agg.queries_evaluated), 1),
+               TablePrinter::Num(PerSearch(agg, agg.skipped_by_condition),
                                  1)});
   }
   tp.Print();

@@ -24,27 +24,24 @@ int main(int argc, char** argv) {
                    "postings read/ES"});
   for (int32_t scale : {1, 4, 16, 64, 256}) {
     std::unique_ptr<World> world = AdvwWorld(scale, 1);
-    Agg agg;
+    RunStats agg;
     datagen::EsGenOptions es_opts;
     Workload workload = MakeWorkload(*world, es_count, es_opts, 777, 5, 4);
     SearchOptions options;
     options.enumeration.max_tree_size = 4;
-    int64_t postings = 0;
     for (const datagen::GeneratedEs& es : workload.es) {
       PreparedSearch prep(*world->index, *world->graph, es.sheet, options);
       SearchResult r = RunFastTopK(prep, options);
       agg.Add(r.stats);
-      postings += r.stats.counters.postings_scanned;
     }
     ta.AddRow({TablePrinter::Int(scale),
                TablePrinter::Int(world->db.FindTable("DimProduct")
                                      ->NumRows()),
                TablePrinter::Int(world->db.FindTable("FactSales")
                                      ->NumRows()),
-               TablePrinter::Num(agg.AvgTotalMs(), 3),
-               TablePrinter::Num(static_cast<double>(postings) /
-                                     static_cast<double>(agg.runs),
-                                 0)});
+               TablePrinter::Num(AvgTotalMs(agg), 3),
+               TablePrinter::Num(
+                   PerSearch(agg, agg.counters.postings_scanned), 0)});
   }
   ta.Print();
   std::printf(
@@ -60,24 +57,22 @@ int main(int argc, char** argv) {
     Workload workload = MakeWorkload(*world, es_count, es_opts, 777, 5, 4);
     SearchOptions options;
     options.enumeration.max_tree_size = 4;
-    Agg agg;
-    int64_t hash_ops = 0;
+    RunStats agg;
     for (const datagen::GeneratedEs& es : workload.es) {
       PreparedSearch prep(*world->index, *world->graph, es.sheet, options);
       SearchResult r = RunFastTopK(prep, options);
       agg.Add(r.stats);
-      hash_ops +=
-          r.stats.counters.hash_lookups + r.stats.counters.hash_inserts;
     }
     tb.AddRow({TablePrinter::Int(scale),
                TablePrinter::Int(world->db.FindTable("DimProduct")
                                      ->NumRows()),
                TablePrinter::Int(world->db.FindTable("FactSales")
                                      ->NumRows()),
-               TablePrinter::Num(agg.AvgTotalMs(), 3),
-               TablePrinter::Num(static_cast<double>(hash_ops) /
-                                     static_cast<double>(agg.runs),
-                                 0)});
+               TablePrinter::Num(AvgTotalMs(agg), 3),
+               TablePrinter::Num(
+                   PerSearch(agg, agg.counters.hash_lookups +
+                                      agg.counters.hash_inserts),
+                   0)});
   }
   tb.Print();
   std::printf(

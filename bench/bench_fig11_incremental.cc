@@ -28,15 +28,10 @@ int main(int argc, char** argv) {
   options.enumeration.max_tree_size = 4;
 
   constexpr int kSteps = 6;  // cells [1,0..2] and [2,0..2]
-  struct StepAgg {
-    double seconds = 0.0;
-    int64_t row_evals = 0;
-    int64_t runs = 0;
-  };
   const IncrementalMode modes[3] = {IncrementalMode::kFastTopKInc,
                                     IncrementalMode::kBaselineInc,
                                     IncrementalMode::kFastTopKNInc};
-  StepAgg agg[3][kSteps];
+  RunStats agg[3][kSteps];
 
   for (const datagen::GeneratedEs& es : workload.es) {
     for (int m = 0; m < 3; ++m) {
@@ -62,10 +57,7 @@ int main(int argc, char** argv) {
             continue;
           }
           SearchResult r = session.Search(*sheet, modes[m]);
-          agg[m][step].seconds +=
-              r.stats.enum_seconds + r.stats.eval_seconds;
-          agg[m][step].row_evals += r.stats.query_row_evals;
-          ++agg[m][step].runs;
+          agg[m][step].Add(r.stats);
           ++step;
         }
       }
@@ -81,22 +73,12 @@ int main(int argc, char** argv) {
     std::vector<std::string> line{
         s4::StrFormat("[%d,%d]", row, col)};
     for (int m = 0; m < 3; ++m) {
-      const StepAgg& a = agg[m][step];
-      line.push_back(TablePrinter::Num(
-          a.runs == 0 ? 0.0 : 1e3 * a.seconds / a.runs, 3));
+      line.push_back(TablePrinter::Num(AvgTotalMs(agg[m][step]), 3));
     }
-    line.push_back(TablePrinter::Num(
-        agg[0][step].runs == 0
-            ? 0.0
-            : static_cast<double>(agg[0][step].row_evals) /
-                  static_cast<double>(agg[0][step].runs),
-        1));
-    line.push_back(TablePrinter::Num(
-        agg[2][step].runs == 0
-            ? 0.0
-            : static_cast<double>(agg[2][step].row_evals) /
-                  static_cast<double>(agg[2][step].runs),
-        1));
+    for (int m : {0, 2}) {
+      const RunStats& a = agg[m][step];
+      line.push_back(TablePrinter::Num(PerSearch(a, a.query_row_evals), 1));
+    }
     tp.AddRow(std::move(line));
   }
   tp.Print();

@@ -29,20 +29,17 @@ int main(int argc, char** argv) {
                    "eval (us/query)", "enum share", "eval share"});
   for (EsBucket bucket :
        {EsBucket::kLow, EsBucket::kMedium, EsBucket::kHigh}) {
-    double enum_us = 0.0, eval_us = 0.0;
-    int64_t queries = 0;
+    RunStats agg;
     const std::vector<size_t> members = workload.InBucket(bucket);
     for (size_t i : members) {
       SearchResult r = SearchNaive(*world->index, *world->graph,
                                    workload.es[i].sheet, options);
-      if (r.stats.queries_evaluated == 0) continue;
-      enum_us += 1e6 * r.stats.enum_seconds;
-      eval_us += 1e6 * r.stats.eval_seconds;
-      queries += r.stats.queries_evaluated;
+      if (r.stats.queries_evaluated > 0) agg.Add(r.stats);
     }
-    if (queries == 0) continue;
-    const double e = enum_us / static_cast<double>(queries);
-    const double v = eval_us / static_cast<double>(queries);
+    if (agg.queries_evaluated == 0) continue;
+    const double queries = static_cast<double>(agg.queries_evaluated);
+    const double e = 1e6 * agg.enum_seconds / queries;
+    const double v = 1e6 * agg.eval_seconds / queries;
     tp.AddRow({datagen::EsBucketName(bucket),
                TablePrinter::Int(static_cast<long long>(members.size())),
                TablePrinter::Num(e, 2), TablePrinter::Num(v, 2),

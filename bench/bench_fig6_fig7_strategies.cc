@@ -4,6 +4,7 @@
 // query-row evaluations per strategy and bucket).
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/thread_pool.h"
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
   options.enumeration.max_tree_size = 4;
 
   struct Cell {
-    Agg agg;
+    RunStats agg;
   };
   const char* strategy_names[3] = {"Naive", "Baseline", "FastTopK"};
   Cell cells[3][3];
@@ -46,19 +47,20 @@ int main(int argc, char** argv) {
   TablePrinter t6({"bucket", "strategy", "enum+ub (ms)", "eval (ms)",
                    "total (ms)", "speedup vs naive"});
   for (int b = 0; b < 3; ++b) {
-    const double naive_total = cells[0][b].agg.AvgTotalMs();
+    const double naive_total = AvgTotalMs(cells[0][b].agg);
     for (int s = 0; s < 3; ++s) {
-      const Agg& a = cells[s][b].agg;
-      if (a.runs == 0) continue;
+      const RunStats& a = cells[s][b].agg;
+      if (a.searches == 0) continue;
       t6.AddRow({datagen::EsBucketName(static_cast<EsBucket>(b)),
-                 strategy_names[s], TablePrinter::Num(a.AvgEnumMs(), 3),
-                 TablePrinter::Num(a.AvgEvalMs(), 3),
-                 TablePrinter::Num(a.AvgTotalMs(), 3),
-                 TablePrinter::Num(naive_total / a.AvgTotalMs(), 2) + "x"});
-      JsonAgg(std::string("bucket=") +
-                  datagen::EsBucketName(static_cast<EsBucket>(b)) +
-                  "/strategy=" + strategy_names[s],
-              a);
+                 strategy_names[s],
+                 TablePrinter::Num(PerSearch(a, 1e3 * a.enum_seconds), 3),
+                 TablePrinter::Num(PerSearch(a, 1e3 * a.eval_seconds), 3),
+                 TablePrinter::Num(AvgTotalMs(a), 3),
+                 TablePrinter::Num(naive_total / AvgTotalMs(a), 2) + "x"});
+      JsonRunStats(std::string("bucket=") +
+                       datagen::EsBucketName(static_cast<EsBucket>(b)) +
+                       "/strategy=" + strategy_names[s],
+                   a);
     }
   }
   t6.Print();
@@ -69,15 +71,17 @@ int main(int argc, char** argv) {
   TablePrinter t7({"bucket", "Naive", "Baseline", "FastTopK",
                    "enumerated"});
   for (int b = 0; b < 3; ++b) {
-    if (cells[0][b].agg.runs == 0) continue;
-    t7.AddRow({datagen::EsBucketName(static_cast<EsBucket>(b)),
-               TablePrinter::Num(cells[0][b].agg.AvgRowEvals(), 1),
-               TablePrinter::Num(cells[1][b].agg.AvgRowEvals(), 1),
-               TablePrinter::Num(cells[2][b].agg.AvgRowEvals(), 1),
-               TablePrinter::Num(
-                   static_cast<double>(cells[0][b].agg.queries_enumerated) /
-                       static_cast<double>(cells[0][b].agg.runs),
-                   1)});
+    const RunStats& naive = cells[0][b].agg;
+    if (naive.searches == 0) continue;
+    std::vector<std::string> row{
+        datagen::EsBucketName(static_cast<EsBucket>(b))};
+    for (int s = 0; s < 3; ++s) {
+      const RunStats& a = cells[s][b].agg;
+      row.push_back(TablePrinter::Num(PerSearch(a, a.query_row_evals), 1));
+    }
+    row.push_back(
+        TablePrinter::Num(PerSearch(naive, naive.queries_enumerated), 1));
+    t7.AddRow(std::move(row));
   }
   t7.Print();
   std::printf(

@@ -33,36 +33,30 @@ int main(int argc, char** argv) {
       SearchOptions options;
       options.enumeration.max_tree_size = 4;
       options.cache_budget_bytes = kib << 10;
-      Agg base_agg, fast_agg;
+      RunStats base_agg, fast_agg;
       for (size_t i : members) {
         PreparedSearch prep(*world->index, *world->graph,
                             workload.es[i].sheet, options);
         base_agg.Add(RunBaseline(prep, options).stats);
         fast_agg.Add(RunFastTopK(prep, options).stats);
       }
-      if (fast_agg.runs == 0) continue;
+      if (fast_agg.searches == 0) continue;
       tp.AddRow(
           {TablePrinter::Int(static_cast<long long>(kib)),
-           TablePrinter::Num(base_agg.AvgTotalMs(), 3),
-           TablePrinter::Num(fast_agg.AvgTotalMs(), 3),
-           TablePrinter::Num(base_agg.AvgTotalMs() / fast_agg.AvgTotalMs(),
+           TablePrinter::Num(AvgTotalMs(base_agg), 3),
+           TablePrinter::Num(AvgTotalMs(fast_agg), 3),
+           TablePrinter::Num(AvgTotalMs(base_agg) / AvgTotalMs(fast_agg),
                              2) +
                "x",
-           TablePrinter::Num(static_cast<double>(fast_agg.cache_hits) /
-                                 static_cast<double>(fast_agg.runs),
-                             1),
-           TablePrinter::Num(static_cast<double>(fast_agg.critical_subs) /
-                                 static_cast<double>(fast_agg.runs),
-                             1)});
+           TablePrinter::Num(PerSearch(fast_agg, fast_agg.cache.hits), 1),
+           TablePrinter::Num(
+               PerSearch(fast_agg, fast_agg.critical_subs_cached), 1)});
       const std::string section = std::string("bucket=") +
                                   datagen::EsBucketName(bucket) +
                                   "/B_kib=" + std::to_string(kib);
-      JsonMetric(section, "baseline_ms", base_agg.AvgTotalMs());
-      JsonMetric(section, "fasttopk_ms", fast_agg.AvgTotalMs());
-      JsonMetric(section, "cache_hits_per_es",
-                 static_cast<double>(fast_agg.cache_hits) /
-                     static_cast<double>(fast_agg.runs));
-      JsonCacheStats(section, fast_agg.CacheTotals());
+      JsonMetric(section, "baseline_ms", AvgTotalMs(base_agg));
+      JsonMetric(section, "fasttopk_ms", AvgTotalMs(fast_agg));
+      JsonRunStats(section, fast_agg);
     }
     tp.Print();
     std::printf("\n");

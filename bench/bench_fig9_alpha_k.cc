@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
   const std::vector<size_t> members =
       workload.InBucket(EsBucket::kMedium);
 
-  auto run_point = [&](const SearchOptions& options, Agg* base_agg,
-                       Agg* fast_agg) {
+  auto run_point = [&](const SearchOptions& options, RunStats* base_agg,
+                       RunStats* fast_agg) {
     for (size_t i : members) {
       PreparedSearch prep(*world->index, *world->graph,
                           workload.es[i].sheet, options);
@@ -40,17 +40,17 @@ int main(int argc, char** argv) {
     SearchOptions options;
     options.enumeration.max_tree_size = 4;
     options.score.alpha = alpha;
-    Agg base_agg, fast_agg;
+    RunStats base_agg, fast_agg;
     run_point(options, &base_agg, &fast_agg);
-    if (fast_agg.runs == 0) continue;
+    if (fast_agg.searches == 0) continue;
     ta.AddRow({TablePrinter::Num(alpha, 1),
-               TablePrinter::Num(base_agg.AvgTotalMs(), 3),
-               TablePrinter::Num(fast_agg.AvgTotalMs(), 3),
+               TablePrinter::Num(AvgTotalMs(base_agg), 3),
+               TablePrinter::Num(AvgTotalMs(fast_agg), 3),
                TablePrinter::Num(
-                   base_agg.AvgTotalMs() / fast_agg.AvgTotalMs(), 2) +
+                   AvgTotalMs(base_agg) / AvgTotalMs(fast_agg), 2) +
                    "x",
-               TablePrinter::Num(base_agg.AvgRowEvals(), 1),
-               TablePrinter::Num(fast_agg.AvgRowEvals(), 1)});
+               TablePrinter::Num(PerSearch(base_agg, base_agg.query_row_evals), 1),
+               TablePrinter::Num(PerSearch(fast_agg, fast_agg.query_row_evals), 1)});
   }
   ta.Print();
   std::printf(
@@ -65,17 +65,17 @@ int main(int argc, char** argv) {
     SearchOptions options;
     options.enumeration.max_tree_size = 4;
     options.k = k;
-    Agg base_agg, fast_agg;
+    RunStats base_agg, fast_agg;
     run_point(options, &base_agg, &fast_agg);
-    if (fast_agg.runs == 0) continue;
+    if (fast_agg.searches == 0) continue;
     tk.AddRow({TablePrinter::Int(k),
-               TablePrinter::Num(base_agg.AvgTotalMs(), 3),
-               TablePrinter::Num(fast_agg.AvgTotalMs(), 3),
+               TablePrinter::Num(AvgTotalMs(base_agg), 3),
+               TablePrinter::Num(AvgTotalMs(fast_agg), 3),
                TablePrinter::Num(
-                   base_agg.AvgTotalMs() / fast_agg.AvgTotalMs(), 2) +
+                   AvgTotalMs(base_agg) / AvgTotalMs(fast_agg), 2) +
                    "x",
-               TablePrinter::Num(base_agg.AvgRowEvals(), 1),
-               TablePrinter::Num(fast_agg.AvgRowEvals(), 1)});
+               TablePrinter::Num(PerSearch(base_agg, base_agg.query_row_evals), 1),
+               TablePrinter::Num(PerSearch(fast_agg, fast_agg.query_row_evals), 1)});
   }
   tk.Print();
   std::printf(

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 #include <thread>
 
 #include "common/rng.h"
@@ -86,14 +87,17 @@ void JsonMetric(const std::string& section, const std::string& name,
   State().records.push_back(JsonRecord{section, name, value});
 }
 
-void JsonAgg(const std::string& section, const Agg& agg) {
-  JsonMetric(section, "runs", static_cast<double>(agg.runs));
-  JsonMetric(section, "total_ms", agg.AvgTotalMs());
-  JsonMetric(section, "enum_ms", agg.AvgEnumMs());
-  JsonMetric(section, "eval_ms", agg.AvgEvalMs());
-  JsonMetric(section, "queries_evaluated", agg.AvgEvaluated());
-  JsonMetric(section, "query_row_evals", agg.AvgRowEvals());
-  JsonCacheStats(section, agg.CacheTotals());
+void JsonRunStats(const std::string& section, const RunStats& stats) {
+  JsonMetric(section, "total_ms", AvgTotalMs(stats));
+  ForEachStat(
+      [&](const StatField& f, const auto& value) {
+        // The denominator and high-water marks are reported as they are.
+        const double v = static_cast<double>(value);
+        const bool as_is = f.kind == StatKind::kPeak ||
+                           std::string_view(f.name) == "searches";
+        JsonMetric(section, f.name, as_is ? v : PerSearch(stats, v));
+      },
+      stats);
 }
 
 void JsonLatency(const std::string& section,
@@ -105,17 +109,6 @@ void JsonLatency(const std::string& section,
   JsonMetric(section, "p999_ms", 1e3 * snapshot.PercentileSeconds(0.999));
   JsonMetric(section, "max_ms", 1e3 * snapshot.max_seconds);
   JsonMetric(section, "mean_ms", 1e3 * snapshot.MeanSeconds());
-}
-
-void JsonCacheStats(const std::string& section, const CacheStats& stats) {
-  JsonMetric(section, "cache_hits", static_cast<double>(stats.hits));
-  JsonMetric(section, "cache_misses", static_cast<double>(stats.misses));
-  JsonMetric(section, "cache_insertions",
-             static_cast<double>(stats.insertions));
-  JsonMetric(section, "cache_evictions",
-             static_cast<double>(stats.evictions));
-  JsonMetric(section, "cache_peak_bytes",
-             static_cast<double>(stats.peak_bytes));
 }
 
 void JsonMetricsSnapshot(const std::string& section,
@@ -227,6 +220,14 @@ Workload MakeWorkload(const World& world, int32_t count,
   w.es = std::move(many).value();
   w.buckets = datagen::EsGenerator::AssignBuckets(w.es);
   return w;
+}
+
+double PerSearch(const RunStats& s, double total) {
+  return s.searches == 0 ? 0.0 : total / static_cast<double>(s.searches);
+}
+
+double AvgTotalMs(const RunStats& s) {
+  return PerSearch(s, 1e3 * (s.enum_seconds + s.eval_seconds));
 }
 
 int64_t EnvInt(const char* name, int64_t def) {

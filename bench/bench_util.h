@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/subquery_cache.h"
 #include "common/latency_histogram.h"
 #include "common/status.h"
 #include "common/table_printer.h"
@@ -53,73 +52,13 @@ Workload MakeWorkload(const World& world, int32_t count,
                       uint64_t seed = 1234, int32_t min_text_columns = 6,
                       int32_t max_tree_size = 4);
 
-// Accumulates per-run statistics for averaged reporting.
-struct Agg {
-  double enum_seconds = 0.0;
-  double eval_seconds = 0.0;
-  int64_t queries_enumerated = 0;
-  int64_t queries_evaluated = 0;
-  int64_t query_row_evals = 0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_insertions = 0;
-  int64_t cache_evictions = 0;
-  size_t cache_peak_bytes = 0;  // max over runs, not a sum
-  int64_t critical_subs = 0;
-  int64_t skipped = 0;
-  int64_t model_cost = 0;
-  int64_t runs = 0;
+// Mean of `total` over the strategy runs folded into `s` with
+// RunStats::Add (`s.searches`); 0 for an empty record. Benches sum
+// each run's RunStats into one record and report means through this.
+double PerSearch(const RunStats& s, double total);
 
-  void Add(const RunStats& s) {
-    enum_seconds += s.enum_seconds;
-    eval_seconds += s.eval_seconds;
-    queries_enumerated += s.queries_enumerated;
-    queries_evaluated += s.queries_evaluated;
-    query_row_evals += s.query_row_evals;
-    cache_hits += s.cache.hits;
-    cache_misses += s.cache.misses;
-    cache_insertions += s.cache.insertions;
-    cache_evictions += s.cache.evictions;
-    if (s.cache.peak_bytes > cache_peak_bytes) {
-      cache_peak_bytes = s.cache.peak_bytes;
-    }
-    critical_subs += s.critical_subs_cached;
-    skipped += s.skipped_by_condition;
-    model_cost += s.model_cost;
-    ++runs;
-  }
-  double AvgTotalMs() const {
-    return runs == 0 ? 0.0
-                     : 1e3 * (enum_seconds + eval_seconds) /
-                           static_cast<double>(runs);
-  }
-  double AvgEnumMs() const {
-    return runs == 0 ? 0.0 : 1e3 * enum_seconds / static_cast<double>(runs);
-  }
-  double AvgEvalMs() const {
-    return runs == 0 ? 0.0 : 1e3 * eval_seconds / static_cast<double>(runs);
-  }
-  double AvgEvaluated() const {
-    return runs == 0 ? 0.0
-                     : static_cast<double>(queries_evaluated) /
-                           static_cast<double>(runs);
-  }
-  double AvgRowEvals() const {
-    return runs == 0 ? 0.0
-                     : static_cast<double>(query_row_evals) /
-                           static_cast<double>(runs);
-  }
-  // The cache-counter subset as a CacheStats, for JsonCacheStats.
-  CacheStats CacheTotals() const {
-    CacheStats s;
-    s.hits = cache_hits;
-    s.misses = cache_misses;
-    s.insertions = cache_insertions;
-    s.evictions = cache_evictions;
-    s.peak_bytes = cache_peak_bytes;
-    return s;
-  }
-};
+// Mean Stage I + Stage II wall time per run, in milliseconds.
+double AvgTotalMs(const RunStats& s);
 
 // Reads an integer knob from the environment (e.g. S4_BENCH_ES_COUNT) so
 // users can scale benchmarks up without recompiling.
@@ -197,19 +136,15 @@ bool JsonEnabled();
 void JsonMetric(const std::string& section, const std::string& name,
                 double value);
 
-// Records the standard Agg averages under `section`.
-void JsonAgg(const std::string& section, const Agg& agg);
+// Records a summed RunStats under `section`: `total_ms`, then every
+// counter-schema field under its schema name — `searches` and peak
+// fields as they are, everything else as the per-run mean.
+void JsonRunStats(const std::string& section, const RunStats& stats);
 
 // Records the standard latency metrics (p50/p95/p99/p99.9/max/mean, in
 // milliseconds, plus the sample count) under `section`.
 void JsonLatency(const std::string& section,
                  const LatencyHistogram::Snapshot& snapshot);
-
-// Records the canonical cache-counter fields (cache_hits, cache_misses,
-// cache_insertions, cache_evictions, cache_peak_bytes) under `section`.
-// The single serializer behind every bench that reports cache stats, so
-// the field names can never drift between binaries.
-void JsonCacheStats(const std::string& section, const CacheStats& stats);
 
 // Records every entry of a metrics-registry snapshot under `section`:
 // counters/gauges as {name, value}; histograms expand to name_count,

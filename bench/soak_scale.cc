@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     Workload workload = MakeWorkload(*world, es_count);
     SearchOptions options;
     options.enumeration.max_tree_size = 4;
-    Agg base, fast;
+    RunStats base, fast;
     for (const datagen::GeneratedEs& es : workload.es) {
       PreparedSearch prep(*world->index, *world->graph, es.sheet, options);
       base.Add(RunBaseline(prep, options).stats);
@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
                        (1 << 20),
                    1),
                TablePrinter::Num(build_s, 2),
-               TablePrinter::Num(base.AvgTotalMs(), 1),
-               TablePrinter::Num(fast.AvgTotalMs(), 1),
-               TablePrinter::Num(base.AvgTotalMs() / fast.AvgTotalMs(), 2) +
+               TablePrinter::Num(AvgTotalMs(base), 1),
+               TablePrinter::Num(AvgTotalMs(fast), 1),
+               TablePrinter::Num(AvgTotalMs(base) / AvgTotalMs(fast), 2) +
                    "x"});
   }
   tp.Print();

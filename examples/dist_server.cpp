@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
     // Per-shard enumeration must cover the space exactly once.
     int64_t slices = 0;
     for (const auto& s : dist_result->shards) {
-      slices += s.queries_enumerated;
+      slices += s.run.queries_enumerated;
     }
     if (slices != local->stats.queries_enumerated) {
       std::fprintf(stderr,
@@ -165,23 +165,20 @@ int main(int argc, char** argv) {
     }
     std::printf("self-test: %d slices cover all %lld candidates\n", shards,
                 static_cast<long long>(slices));
-    // Cluster-wide profile: one ShardProfile row per shard, work
-    // counters reconciling with the merged response counters.
-    if (dist_result->profile.shards.size() !=
-            static_cast<size_t>(shards) ||
-        dist_result->profile.candidates_evaluated !=
-            dist_result->queries_evaluated ||
+    // Cluster-wide profile: the coordinator's envelope, and the merged
+    // RunStats folding every shard's record.
+    if (dist_result->stats.queries_enumerated != slices ||
         dist_result->profile.total_seconds <= 0.0) {
       std::fprintf(stderr,
-                   "merged profile wrong: %zu shard rows, evaluated %lld "
-                   "vs %lld\n",
-                   dist_result->profile.shards.size(),
+                   "merged profile wrong: enumerated %lld vs %lld, "
+                   "total=%.6f\n",
                    static_cast<long long>(
-                       dist_result->profile.candidates_evaluated),
-                   static_cast<long long>(dist_result->queries_evaluated));
+                       dist_result->stats.queries_enumerated),
+                   static_cast<long long>(slices),
+                   dist_result->profile.total_seconds);
       return 1;
     }
-    std::printf("self-test: merged profile has %d shard rows\n", shards);
+    std::printf("self-test: merged stats fold all %d shards\n", shards);
 
     // Stitched timeline: one trace holding the coordinator's own spans
     // plus every shard's segment as its own process (pid 2+i), all on

@@ -219,8 +219,8 @@ int main(int argc, char** argv) {
   std::printf("top-%zu in %.1f ms server time (%lld queries evaluated,"
               " %lld cache hits)%s:\n",
               result->topk.size(), 1e3 * result->server_seconds,
-              static_cast<long long>(result->queries_evaluated),
-              static_cast<long long>(result->cache_hits),
+              static_cast<long long>(result->stats.queries_evaluated),
+              static_cast<long long>(result->stats.cache.hits),
               result->interrupted
                   ? " [interrupted]"
                   : (result->approximate ? " [approximate]" : ""));
@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
       h.label = e.sql;
       hits.push_back(std::move(h));
     }
-    std::printf("\n%s", obs::FormatProfile(result->profile, hits).c_str());
+    std::printf("\n%s", obs::FormatProfile(result->stats, result->profile, hits).c_str());
   }
 
   if (trace_out != nullptr) {

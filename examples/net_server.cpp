@@ -177,31 +177,25 @@ int main(int argc, char** argv) {
                 result->topk.empty() ? "(none)"
                                      : result->topk[0].sql.c_str());
 
-    // The QueryProfile must come back and reconcile with the response's
-    // own counters (both views come from the same RunStats).
+    // The timing envelope must come back beside the response's RunStats
+    // (one record from one finished run).
     if (!result->has_profile) {
       std::fprintf(stderr, "response is missing the requested profile\n");
       return 1;
     }
     const obs::QueryProfile& prof = result->profile;
-    if (prof.candidates_evaluated != result->queries_evaluated ||
-        prof.candidates_enumerated != result->queries_enumerated ||
-        prof.cache_hits != result->cache_hits ||
-        prof.total_seconds <= 0.0 ||
+    if (result->stats.searches != 1 || prof.total_seconds <= 0.0 ||
         prof.total_seconds < prof.queue_seconds) {
       std::fprintf(stderr,
-                   "profile does not reconcile: evaluated %lld vs %lld, "
-                   "enumerated %lld vs %lld, total=%.6f queue=%.6f\n",
-                   static_cast<long long>(prof.candidates_evaluated),
-                   static_cast<long long>(result->queries_evaluated),
-                   static_cast<long long>(prof.candidates_enumerated),
-                   static_cast<long long>(result->queries_enumerated),
+                   "profile does not reconcile: %lld runs, total=%.6f "
+                   "queue=%.6f\n",
+                   static_cast<long long>(result->stats.searches),
                    prof.total_seconds, prof.queue_seconds);
       return 1;
     }
     std::printf("profile: total=%.3f ms (queued %.3f ms), %lld evaluated\n",
                 1e3 * prof.total_seconds, 1e3 * prof.queue_seconds,
-                static_cast<long long>(prof.candidates_evaluated));
+                static_cast<long long>(result->stats.queries_evaluated));
 
     // Stats over the wire must reflect the search that just completed.
     auto stats = client.Stats();
@@ -248,7 +242,7 @@ int main(int argc, char** argv) {
     if (slow_json->find("\"slow_log\":[") == std::string::npos ||
         slow_json->find("\"elapsed_ms\"") == std::string::npos ||
         slow_json->find("\"strategy\":\"fasttopk\"") == std::string::npos ||
-        slow_json->find("\"profile\":{") == std::string::npos) {
+        slow_json->find("\"stats\":{") == std::string::npos) {
       std::fprintf(stderr, "slow-log JSON has the wrong shape:\n%s\n",
                    slow_json->c_str());
       return 1;

@@ -28,12 +28,9 @@ CacheStats SubQueryCache::stats() const {
   CacheStats out;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    out.hits += shard->stats.hits;
-    out.misses += shard->stats.misses;
-    out.insertions += shard->stats.insertions;
-    out.evictions += shard->stats.evictions;
-    out.rejected_too_large += shard->stats.rejected_too_large;
+    out.Add(shard->stats);
   }
+  // Shards leave peak_bytes at 0: the peak is tracked cache-wide.
   out.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
   return out;
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cache/flat_table.h"
+#include "obs/run_stats.h"
 
 namespace s4 {
 
@@ -151,15 +152,6 @@ struct SubQueryTable {
     return sizeof(SubQueryTable) + keys.ByteSize() +
            arena.capacity() * sizeof(double);
   }
-};
-
-struct CacheStats {
-  int64_t hits = 0;
-  int64_t misses = 0;
-  int64_t insertions = 0;
-  int64_t evictions = 0;
-  int64_t rejected_too_large = 0;
-  size_t peak_bytes = 0;
 };
 
 // Budgeted LRU cache M of sub-PJ query output relations (Sec 5.1-5.3).

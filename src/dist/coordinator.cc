@@ -58,9 +58,6 @@ struct S4Coordinator::MergeState {
     uint64_t exchange_id = 0;
     Status failure = Status::OK();  // final status of a lost shard
     DistShardStats stats;
-    // Per-shard resource profile from kShardDone (want_profile only).
-    bool has_profile = false;
-    obs::QueryProfile profile;
     // --- stop-frame channel ----------------------------------------
     // The exchange socket, published while the exchange thread blocks
     // reading it, so CheckEarlyStops can write a kShardStop on the same
@@ -289,8 +286,9 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
         // one is just as binding for the merge.
         for (const auto& e : slot.topk) slot.approximate |= e.approximate;
         slot.reported = true;
-        slot.stats.queries_enumerated = partial.enumerated;
-        slot.stats.queries_evaluated = partial.evaluated;
+        slot.stats.run.queries_enumerated = partial.enumerated;
+        slot.stats.run.queries_evaluated = partial.evaluated;
+        slot.stats.run.batches = partial.batches;
         ++slot.stats.partials;
         ++state.partials_received;
         CheckEarlyStops(state);
@@ -318,10 +316,7 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
         slot.remaining_ub = done.remaining_upper_bound;
         slot.approximate = done.response.approximate;
         slot.reported = true;
-        slot.stats.queries_enumerated = done.response.queries_enumerated;
-        slot.stats.queries_evaluated = done.response.queries_evaluated;
-        slot.has_profile = done.response.has_profile;
-        if (slot.has_profile) slot.profile = done.response.profile;
+        slot.stats.run = done.response.stats;
         // This shard's final answer may unlock stops for the others.
         CheckEarlyStops(state);
         return Status::OK();
@@ -459,21 +454,8 @@ StatusOr<DistSearchResult> S4Coordinator::Search(
         merged.insert(merged.end(),
                       std::make_move_iterator(slot.topk.begin()),
                       std::make_move_iterator(slot.topk.end()));
-        result.queries_enumerated += slot.stats.queries_enumerated;
-        result.queries_evaluated += slot.stats.queries_evaluated;
+        result.stats.Add(slot.stats.run);
         result.approximate |= slot.approximate;
-        if (slot.has_profile) result.profile.Accumulate(slot.profile);
-      }
-      if (request.want_profile) {
-        obs::ShardProfile sp_row;
-        sp_row.shard_index = slot.stats.shard_index;
-        sp_row.wall_seconds = slot.stats.wall_seconds;
-        sp_row.enumerated = slot.stats.queries_enumerated;
-        sp_row.evaluated = slot.stats.queries_evaluated;
-        sp_row.partials = slot.stats.partials;
-        sp_row.lost = slot.lost;
-        sp_row.approximate = slot.approximate;
-        result.profile.shards.push_back(sp_row);
       }
       result.shards.push_back(slot.stats);
     }

@@ -55,8 +55,10 @@ struct DistShardStats {
   bool early_stopped = false;   // coordinator sent kShardStop
   int32_t retries = 0;
   int64_t partials = 0;         // kShardPartial frames received
-  int64_t queries_enumerated = 0;  // slice size (any partial/done frame)
-  int64_t queries_evaluated = 0;
+  // The shard's counter record: its kShardDone RunStats, or — for a
+  // shard stopped before it finished — the slice coverage its last
+  // partial reported (queries_enumerated, queries_evaluated, batches).
+  RunStats run;
   double wall_seconds = 0.0;
   std::string error;  // last failure message when not reached
 };
@@ -77,17 +79,14 @@ struct DistSearchResult {
   bool approximate = false;
   std::vector<int32_t> unreached_shards;
 
-  int64_t queries_enumerated = 0;  // summed over reached shards
-  int64_t queries_evaluated = 0;
+  // The reached shards' counter records folded with RunStats::Add.
+  RunStats stats;
   int64_t partials_received = 0;
   int64_t early_stops_sent = 0;
   std::vector<DistShardStats> shards;
   double wall_seconds = 0.0;
 
-  // Cluster-wide resource profile, filled when the request set
-  // want_profile: every reached shard's QueryProfile accumulated (work
-  // counters summed, the timing envelope re-stamped with the
-  // coordinator's own wall clock) plus one ShardProfile row per shard.
+  // The coordinator's timing envelope (its own wall clock).
   obs::QueryProfile profile;
 };
 

@@ -117,10 +117,10 @@ std::shared_ptr<const SubQueryTable> Evaluator::EvalNode(
           {{"kind", "subtree"}, {"hit", hit != nullptr ? "1" : "0"}});
     }
     if (hit != nullptr) {
-      ++c.counters->cache_hits;
+      ++c.counters->tables_reused;
       return hit;
     }
-    ++c.counters->cache_misses;
+    ++c.counters->subtree_misses;
   }
 
   const std::vector<TreeNodeId> children = tree.ChildrenOf(v);
@@ -144,7 +144,7 @@ std::shared_ptr<const SubQueryTable> Evaluator::EvalNode(
              {"hit", hit != nullptr ? "1" : "0"}});
       }
       if (hit != nullptr) {
-        ++c.counters->cache_hits;
+        ++c.counters->tables_reused;
         base = std::move(hit);
         covered_child = child;
         break;

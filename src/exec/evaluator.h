@@ -7,6 +7,7 @@
 
 #include "cache/subquery_cache.h"
 #include "common/status.h"
+#include "obs/run_stats.h"
 #include "query/pj_query.h"
 #include "score/score_context.h"
 
@@ -15,27 +16,6 @@ namespace s4 {
 namespace obs {
 class Trace;
 }  // namespace obs
-
-// Operator-level counters of one or more evaluations; these back both the
-// experiment metrics (query-row evaluations, Fig 7) and validation of the
-// cost model (Eq. 12).
-struct EvalCounters {
-  int64_t rows_scanned = 0;        // relation rows visited in Stage II
-  int64_t hash_lookups = 0;        // child hash-table probes
-  int64_t hash_inserts = 0;        // output hash-table inserts
-  int64_t postings_scanned = 0;    // row-level posting entries read
-  int64_t cache_hits = 0;          // sub-PJ tables reused from M
-  int64_t cache_misses = 0;
-
-  void Add(const EvalCounters& o) {
-    rows_scanned += o.rows_scanned;
-    hash_lookups += o.hash_lookups;
-    hash_inserts += o.hash_inserts;
-    postings_scanned += o.postings_scanned;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-  }
-};
 
 struct EvalOptions {
   // Spreadsheet rows to evaluate; empty = all rows. The incremental

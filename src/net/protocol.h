@@ -7,7 +7,7 @@
 
 namespace s4::net {
 
-// --- S4 wire protocol v3 ----------------------------------------------
+// --- S4 wire protocol v4 ----------------------------------------------
 //
 // Every frame on the wire is a fixed 20-byte header followed by a
 // type-specific payload, all integers little-endian:
@@ -35,9 +35,12 @@ inline constexpr uint32_t kMagic = 0x53345750u;  // "S4WP"
 // an optional QueryProfile section on search responses, trace context
 // (trace_id, parent span, wall origin) on shard requests, an optional
 // trace segment on kShardDone, and the kSlowLogRequest/Response pair.
-// Both sides must agree — the header version check rejects older peers
-// with FailedPrecondition before any payload is parsed.
-inline constexpr uint8_t kProtocolVersion = 3;
+// v4 replaced the search response's hand-picked counter subset with the
+// whole RunStats record, encoded field by field from the counter schema
+// (obs/run_stats.h), and cut the QueryProfile section down to the timing
+// envelope. Both sides must agree — the header version check rejects
+// older peers with FailedPrecondition before any payload is parsed.
+inline constexpr uint8_t kProtocolVersion = 4;
 inline constexpr size_t kHeaderBytes = 20;
 
 // Frames larger than this are rejected with InvalidArgument and the
@@ -106,11 +109,6 @@ inline constexpr int64_t kMaxWireSampleBudget = int64_t{1} << 32;
 // few hundred events; a hostile frame cannot force absurd allocations.
 inline constexpr uint32_t kMaxWireTraceEvents = 4096;
 inline constexpr uint32_t kMaxWireTraceArgs = 16;
-
-// Decode-side cap on the per-shard breakdown inside a wire
-// QueryProfile (mirrors the fan-out bound).
-inline constexpr uint32_t kMaxWireProfileShards =
-    static_cast<uint32_t>(kMaxWireShards);
 
 // Value kind tags inside mutate frames.
 inline constexpr uint8_t kWireValueNull = 0;

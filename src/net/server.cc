@@ -48,22 +48,11 @@ NetSearchResponse BuildResponse(const SearchResult& result,
   }
   resp.interrupted = result.interrupted;
   resp.approximate = result.approximate;
-  const RunStats& s = result.stats;
-  resp.queries_enumerated = s.queries_enumerated;
-  resp.queries_evaluated = s.queries_evaluated;
-  resp.query_row_evals = s.query_row_evals;
-  resp.skipped_by_condition = s.skipped_by_condition;
-  resp.model_cost = s.model_cost;
-  resp.enum_seconds = s.enum_seconds;
-  resp.eval_seconds = s.eval_seconds;
-  resp.cache_hits = s.cache.hits;
-  resp.cache_misses = s.cache.misses;
-  resp.cache_evictions = s.cache.evictions;
-  resp.cache_peak_bytes = s.cache.peak_bytes;
+  resp.stats = result.stats;
   resp.server_seconds = server_seconds;
   if (want_profile) {
     // The service stamped the timing envelope (total/queue wall) on the
-    // profile before completing; work counters came from FinishStats.
+    // profile before completing.
     resp.has_profile = true;
     resp.profile = result.profile;
   }

@@ -397,86 +397,38 @@ Status ReadTopkEntries(WireReader& r, std::vector<NetTopkEntry>* topk,
   return Status::OK();
 }
 
-// The flat QueryProfile section (v3): fixed scalar fields in declaration
-// order, then the per-shard breakdown. Appended to search responses
-// behind a has-flag when the request asked for profiling.
+// The RunStats section (v4): every counter-schema field in list order,
+// each in its declared type (obs/run_stats.h), so a new schema field
+// travels without a codec edit. Always present on search responses.
+void PutStat(WireWriter* w, int64_t v) { w->PutI64(v); }
+void PutStat(WireWriter* w, uint64_t v) { w->PutU64(v); }
+void PutStat(WireWriter* w, double v) { w->PutDouble(v); }
+bool ReadStat(WireReader& r, int64_t* v) { return r.ReadI64(v); }
+bool ReadStat(WireReader& r, uint64_t* v) { return r.ReadU64(v); }
+bool ReadStat(WireReader& r, double* v) { return r.ReadDouble(v); }
+
+void AppendRunStats(const RunStats& stats, WireWriter* w) {
+  ForEachStat([w](const StatField&, const auto& v) { PutStat(w, v); },
+              stats);
+}
+
+Status ReadRunStats(WireReader& r, RunStats* stats) {
+  bool ok = true;
+  ForEachStat([&](const StatField&, auto& v) { ok = ok && ReadStat(r, &v); },
+              *stats);
+  return ok ? Status::OK() : Truncated("response stats");
+}
+
+// The QueryProfile section: the timing envelope. Appended to search
+// responses behind a has-flag when the request asked for profiling.
 void AppendProfile(const obs::QueryProfile& p, WireWriter* w) {
   w->PutDouble(p.total_seconds);
   w->PutDouble(p.queue_seconds);
-  w->PutDouble(p.enum_seconds);
-  w->PutDouble(p.eval_seconds);
-  w->PutI64(p.candidates_enumerated);
-  w->PutI64(p.candidates_evaluated);
-  w->PutI64(p.query_row_evals);
-  w->PutI64(p.skipped_by_condition);
-  w->PutI64(p.batches);
-  w->PutI64(p.bound_updates);
-  w->PutI64(p.rows_scanned);
-  w->PutI64(p.hash_lookups);
-  w->PutI64(p.hash_inserts);
-  w->PutI64(p.postings_scanned);
-  w->PutI64(p.cache_hits);
-  w->PutI64(p.cache_misses);
-  w->PutI64(p.cache_insertions);
-  w->PutI64(p.cache_evictions);
-  w->PutU64(p.cache_peak_bytes);
-  w->PutI64(p.approx_sampled);
-  w->PutI64(p.approx_skipped);
-  w->PutI64(p.approx_escalated);
-  w->PutI64(p.approx_samples);
-  w->PutI64(p.approx_deadline_fallbacks);
-  const uint32_t shards = static_cast<uint32_t>(
-      std::min<size_t>(p.shards.size(), kMaxWireProfileShards));
-  w->PutU32(shards);
-  for (uint32_t i = 0; i < shards; ++i) {
-    const obs::ShardProfile& s = p.shards[i];
-    w->PutI32(s.shard_index);
-    w->PutDouble(s.wall_seconds);
-    w->PutI64(s.enumerated);
-    w->PutI64(s.evaluated);
-    w->PutI64(s.partials);
-    w->PutU8(s.lost ? 1 : 0);
-    w->PutU8(s.approximate ? 1 : 0);
-  }
 }
 
 Status ReadProfile(WireReader& r, obs::QueryProfile* p) {
-  if (!r.ReadDouble(&p->total_seconds) || !r.ReadDouble(&p->queue_seconds) ||
-      !r.ReadDouble(&p->enum_seconds) || !r.ReadDouble(&p->eval_seconds) ||
-      !r.ReadI64(&p->candidates_enumerated) ||
-      !r.ReadI64(&p->candidates_evaluated) ||
-      !r.ReadI64(&p->query_row_evals) ||
-      !r.ReadI64(&p->skipped_by_condition) || !r.ReadI64(&p->batches) ||
-      !r.ReadI64(&p->bound_updates) || !r.ReadI64(&p->rows_scanned) ||
-      !r.ReadI64(&p->hash_lookups) || !r.ReadI64(&p->hash_inserts) ||
-      !r.ReadI64(&p->postings_scanned) || !r.ReadI64(&p->cache_hits) ||
-      !r.ReadI64(&p->cache_misses) || !r.ReadI64(&p->cache_insertions) ||
-      !r.ReadI64(&p->cache_evictions) || !r.ReadU64(&p->cache_peak_bytes) ||
-      !r.ReadI64(&p->approx_sampled) || !r.ReadI64(&p->approx_skipped) ||
-      !r.ReadI64(&p->approx_escalated) || !r.ReadI64(&p->approx_samples) ||
-      !r.ReadI64(&p->approx_deadline_fallbacks)) {
+  if (!r.ReadDouble(&p->total_seconds) || !r.ReadDouble(&p->queue_seconds)) {
     return Truncated("profile");
-  }
-  uint32_t shards;
-  if (!r.ReadU32(&shards)) return Truncated("profile");
-  if (shards > kMaxWireProfileShards) {
-    return Status::InvalidArgument(
-        StrFormat("profile shard count %u exceeds wire limits", shards));
-  }
-  p->shards.clear();
-  p->shards.reserve(shards);
-  for (uint32_t i = 0; i < shards; ++i) {
-    obs::ShardProfile s;
-    uint8_t lost = 0, approximate = 0;
-    if (!r.ReadI32(&s.shard_index) || !r.ReadDouble(&s.wall_seconds) ||
-        !r.ReadI64(&s.enumerated) || !r.ReadI64(&s.evaluated) ||
-        !r.ReadI64(&s.partials) || !r.ReadU8(&lost) ||
-        !r.ReadU8(&approximate)) {
-      return Truncated("profile shard");
-    }
-    s.lost = lost != 0;
-    s.approximate = approximate != 0;
-    p->shards.push_back(s);
   }
   return Status::OK();
 }
@@ -488,17 +440,7 @@ void AppendSearchResponsePayload(const NetSearchResponse& resp,
   w->PutU8(resp.interrupted ? 1 : 0);
   w->PutU8(resp.approximate ? 1 : 0);
   AppendTopkEntries(resp.topk, w);
-  w->PutI64(resp.queries_enumerated);
-  w->PutI64(resp.queries_evaluated);
-  w->PutI64(resp.query_row_evals);
-  w->PutI64(resp.skipped_by_condition);
-  w->PutI64(resp.model_cost);
-  w->PutDouble(resp.enum_seconds);
-  w->PutDouble(resp.eval_seconds);
-  w->PutI64(resp.cache_hits);
-  w->PutI64(resp.cache_misses);
-  w->PutI64(resp.cache_evictions);
-  w->PutU64(resp.cache_peak_bytes);
+  AppendRunStats(resp.stats, w);
   w->PutDouble(resp.server_seconds);
   w->PutU8(resp.has_profile ? 1 : 0);
   if (resp.has_profile) AppendProfile(resp.profile, w);
@@ -512,16 +454,8 @@ Status ReadSearchResponsePayload(WireReader& r, NetSearchResponse* resp) {
   resp->interrupted = interrupted != 0;
   resp->approximate = approximate != 0;
   S4_RETURN_IF_ERROR(ReadTopkEntries(r, &resp->topk, "response entry"));
-  if (!r.ReadI64(&resp->queries_enumerated) ||
-      !r.ReadI64(&resp->queries_evaluated) ||
-      !r.ReadI64(&resp->query_row_evals) ||
-      !r.ReadI64(&resp->skipped_by_condition) ||
-      !r.ReadI64(&resp->model_cost) || !r.ReadDouble(&resp->enum_seconds) ||
-      !r.ReadDouble(&resp->eval_seconds) || !r.ReadI64(&resp->cache_hits) ||
-      !r.ReadI64(&resp->cache_misses) ||
-      !r.ReadI64(&resp->cache_evictions) ||
-      !r.ReadU64(&resp->cache_peak_bytes) ||
-      !r.ReadDouble(&resp->server_seconds)) {
+  S4_RETURN_IF_ERROR(ReadRunStats(r, &resp->stats));
+  if (!r.ReadDouble(&resp->server_seconds)) {
     return Truncated("response stats");
   }
   uint8_t has_profile = 0;

@@ -67,7 +67,8 @@ struct NetSearchRequest {
   double approx_confidence = 0.95;
   int64_t sample_budget = 4096;
   uint64_t rng_seed = 0x5344534453445344ULL;
-  // v3: ask the server to attach its QueryProfile to the response.
+  // v3: ask the server to attach its QueryProfile (timing envelope) to
+  // the response.
   bool want_profile = false;
 
   // NOT on the wire: seconds the server spent decoding this frame,
@@ -114,26 +115,17 @@ struct NetSearchResponse {
   // run terminated under the epsilon-relaxed bound (v2 field).
   bool approximate = false;
 
-  // RunStats subset (timings + the Fig 5-7 work counters + cache stats).
-  int64_t queries_enumerated = 0;
-  int64_t queries_evaluated = 0;
-  int64_t query_row_evals = 0;
-  int64_t skipped_by_condition = 0;
-  int64_t model_cost = 0;
-  double enum_seconds = 0.0;
-  double eval_seconds = 0.0;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_evictions = 0;
-  uint64_t cache_peak_bytes = 0;
+  // The server's whole per-search counter record, every schema field
+  // (obs/run_stats.h), always present.
+  RunStats stats;
 
   // Server-side wall time, frame arrival -> completion (includes queue
   // wait; excludes network transfer either way).
   double server_seconds = 0.0;
 
-  // v3: per-request resource accounting, present only when the request
+  // The timing envelope around `stats`, present only when the request
   // set want_profile (an optional tail section gated by a has-flag on
-  // the wire; when absent `profile` keeps its zero defaults).
+  // the wire; when absent `profile` keeps its defaults).
   bool has_profile = false;
   obs::QueryProfile profile;
 };

@@ -65,6 +65,13 @@ class Gauge {
 
   void Set(int64_t value) { v_.store(value, std::memory_order_relaxed); }
   void Add(int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
+  // Raises the value to `value` if it is higher (a high-water mark).
+  void SetMax(int64_t value) {
+    int64_t cur = v_.load(std::memory_order_relaxed);
+    while (cur < value &&
+           !v_.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
+    }
+  }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:

@@ -5,33 +5,6 @@
 
 namespace s4::obs {
 
-void QueryProfile::Accumulate(const QueryProfile& o) {
-  enum_seconds += o.enum_seconds;
-  eval_seconds += o.eval_seconds;
-  candidates_enumerated += o.candidates_enumerated;
-  candidates_evaluated += o.candidates_evaluated;
-  query_row_evals += o.query_row_evals;
-  skipped_by_condition += o.skipped_by_condition;
-  batches += o.batches;
-  bound_updates += o.bound_updates;
-  rows_scanned += o.rows_scanned;
-  hash_lookups += o.hash_lookups;
-  hash_inserts += o.hash_inserts;
-  postings_scanned += o.postings_scanned;
-  cache_hits += o.cache_hits;
-  cache_misses += o.cache_misses;
-  cache_insertions += o.cache_insertions;
-  cache_evictions += o.cache_evictions;
-  if (o.cache_peak_bytes > cache_peak_bytes) {
-    cache_peak_bytes = o.cache_peak_bytes;
-  }
-  approx_sampled += o.approx_sampled;
-  approx_skipped += o.approx_skipped;
-  approx_escalated += o.approx_escalated;
-  approx_samples += o.approx_samples;
-  approx_deadline_fallbacks += o.approx_deadline_fallbacks;
-}
-
 namespace {
 
 void Line(std::string* out, const char* label, int64_t value) {
@@ -49,7 +22,7 @@ void TimeLine(std::string* out, const char* label, double seconds) {
 
 }  // namespace
 
-std::string FormatProfile(const QueryProfile& p,
+std::string FormatProfile(const RunStats& stats, const QueryProfile& p,
                           const std::vector<ProfileHit>& hits) {
   std::string out;
   out.reserve(1024);
@@ -58,51 +31,31 @@ std::string FormatProfile(const QueryProfile& p,
   out += "query profile\n";
   TimeLine(&out, "total wall", p.total_seconds);
   TimeLine(&out, "queued (admission)", p.queue_seconds);
-  TimeLine(&out, "stage I (enumerate)", p.enum_seconds);
-  TimeLine(&out, "stage II (evaluate)", p.eval_seconds);
 
-  out += "work\n";
-  Line(&out, "candidates enumerated", p.candidates_enumerated);
-  Line(&out, "candidates evaluated", p.candidates_evaluated);
-  Line(&out, "query-row evals", p.query_row_evals);
-  Line(&out, "skipped by condition", p.skipped_by_condition);
-  Line(&out, "batches", p.batches);
-  Line(&out, "bound updates", p.bound_updates);
-  Line(&out, "rows scanned", p.rows_scanned);
-  Line(&out, "hash probes", p.hash_lookups);
-  Line(&out, "hash inserts", p.hash_inserts);
-  Line(&out, "postings scanned", p.postings_scanned);
-
-  out += "cache\n";
-  Line(&out, "hits", p.cache_hits);
-  Line(&out, "misses", p.cache_misses);
-  Line(&out, "insertions", p.cache_insertions);
-  Line(&out, "evictions", p.cache_evictions);
-  Line(&out, "peak bytes", static_cast<int64_t>(p.cache_peak_bytes));
-
-  if (p.approx_sampled + p.approx_skipped + p.approx_escalated +
-          p.approx_samples + p.approx_deadline_fallbacks >
-      0) {
-    out += "sampler\n";
-    Line(&out, "candidates sampled", p.approx_sampled);
-    Line(&out, "skipped on interval", p.approx_skipped);
-    Line(&out, "escalated to exact", p.approx_escalated);
-    Line(&out, "join rows walked", p.approx_samples);
-    Line(&out, "deadline fallbacks", p.approx_deadline_fallbacks);
-  }
-
-  if (!p.shards.empty()) {
-    out += "shards\n";
-    for (const ShardProfile& s : p.shards) {
-      std::snprintf(buf, sizeof(buf),
-                    "  shard %-3d %9.3f ms  enum=%" PRId64 " eval=%" PRId64
-                    " partials=%" PRId64 "%s%s\n",
-                    s.shard_index, 1e3 * s.wall_seconds, s.enumerated,
-                    s.evaluated, s.partials, s.lost ? " [lost]" : "",
-                    s.approximate ? " [approx]" : "");
-      out += buf;
-    }
-  }
+  // One block per schema section, in schema order; an all-zero section
+  // (e.g. the sampler on an exact run) is left out.
+  std::string section, rows;
+  bool nonzero = false;
+  auto flush = [&] {
+    if (nonzero) out += section + "\n" + rows;
+    rows.clear();
+    nonzero = false;
+  };
+  ForEachStat(
+      [&](const StatField& f, const auto& value) {
+        if (section != f.section) {
+          flush();
+          section = f.section;
+        }
+        nonzero |= value != 0;
+        if (f.kind == StatKind::kSeconds) {
+          TimeLine(&rows, f.label, static_cast<double>(value));
+        } else {
+          Line(&rows, f.label, static_cast<int64_t>(value));
+        }
+      },
+      stats);
+  flush();
 
   if (!hits.empty()) {
     out += "hits\n";

@@ -5,70 +5,19 @@
 #include <string>
 #include <vector>
 
+#include "obs/run_stats.h"
+
 namespace s4::obs {
 
-// Per-shard slice of a distributed request, filled by the coordinator
-// from the exchange bookkeeping it already keeps: which slice, how long
-// the exchange took end to end, how much Stage-I/II work the shard
-// reported, and whether the slice degraded (lost) or went approximate.
-struct ShardProfile {
-  int32_t shard_index = 0;
-  double wall_seconds = 0.0;  // coordinator-side exchange wall time
-  int64_t enumerated = 0;     // shard slice size (Stage-I output)
-  int64_t evaluated = 0;      // shard Stage-II evaluations
-  int64_t partials = 0;       // streamed kShardPartial frames merged
-  bool lost = false;          // slice unreachable after retries
-  bool approximate = false;   // shard answered with sampled intervals
-};
-
-// Per-request resource accounting: where one search spent its time and
-// what it burned, accumulated from the per-run RunStats/sampler
-// counters that already exist (DESIGN.md "Observability"). The struct
-// is plain numbers so it can live below every layer (obs depends only
-// on common), ride the wire as a flat section, and reconcile with the
-// `s4_*` registry counters by construction — both are filled from the
-// same per-run accumulators in one place.
+// The per-request timing envelope that accompanies a RunStats (the
+// counter record, obs/run_stats.h): wall times only the serving layers
+// know. It holds no counters of its own, so it can never disagree with
+// the record it travels beside.
 struct QueryProfile {
-  // Stage timings (seconds). total/queue are service-level wall times
-  // (admission to completion / time spent queued); enum/eval are the
-  // strategy's Stage-I/Stage-II splits.
+  // Service-level wall times: admission to completion, and time spent
+  // queued for admission. The coordinator stamps its own wall clock.
   double total_seconds = 0.0;
   double queue_seconds = 0.0;
-  double enum_seconds = 0.0;
-  double eval_seconds = 0.0;
-  // Stage work.
-  int64_t candidates_enumerated = 0;
-  int64_t candidates_evaluated = 0;
-  int64_t query_row_evals = 0;
-  int64_t skipped_by_condition = 0;
-  int64_t batches = 0;
-  int64_t bound_updates = 0;
-  // Stage-II execution counters (hash probes, scans).
-  int64_t rows_scanned = 0;
-  int64_t hash_lookups = 0;
-  int64_t hash_inserts = 0;
-  int64_t postings_scanned = 0;
-  // Sub-PJ cache traffic.
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  int64_t cache_insertions = 0;
-  int64_t cache_evictions = 0;
-  uint64_t cache_peak_bytes = 0;
-  // Sampling estimator outcomes (anytime approximate search).
-  int64_t approx_sampled = 0;
-  int64_t approx_skipped = 0;
-  int64_t approx_escalated = 0;
-  int64_t approx_samples = 0;
-  int64_t approx_deadline_fallbacks = 0;
-  // Distributed fan-out breakdown, coordinator-filled; empty for
-  // single-node requests.
-  std::vector<ShardProfile> shards;
-
-  // Accumulates another profile's work counters into this one (the
-  // coordinator folds shard profiles into the fleet-wide totals).
-  // Timings other than enum/eval are not summed — wall clocks of
-  // concurrent shards do not add.
-  void Accumulate(const QueryProfile& o);
 };
 
 // One ranked hit's score bracket for the explain report: degenerate
@@ -83,11 +32,12 @@ struct ProfileHit {
   std::string label;  // SQL text or signature
 };
 
-// Human-readable explain report of a finished request: stage timing
-// table, work/cache/sampler counters, per-shard fan-out lines, and —
-// when `hits` is non-empty — per-hit score brackets (error bars) for
-// approximate results.
-std::string FormatProfile(const QueryProfile& profile,
+// Human-readable explain report of a finished request: the timing
+// envelope, the rows of every non-zero section of the counter schema
+// (stage timings, work, cache, sampler), and — when `hits` is
+// non-empty — per-hit score brackets (error bars) for approximate
+// results.
+std::string FormatProfile(const RunStats& stats, const QueryProfile& profile,
                           const std::vector<ProfileHit>& hits = {});
 
 }  // namespace s4::obs

@@ -46,6 +46,11 @@ const char* SlowLogStrategyName(S4System::Strategy s) {
   return "unknown";
 }
 
+// Slow-log order: by admission-to-completion wall time.
+bool FasterRequest(const SlowLogEntry& a, const SlowLogEntry& b) {
+  return a.profile.total_seconds < b.profile.total_seconds;
+}
+
 // Registry counters bumped at service events (admission, completion).
 // References resolved once; the registry keeps them stable.
 struct ServiceCounters {
@@ -329,8 +334,8 @@ void S4Service::MaybeRecordSlowQuery(const Pending& p,
     entry.request_id = p.request.trace->request_id();
     entry.trace_id = p.request.trace->trace_id();
   }
-  entry.elapsed_seconds = elapsed;
-  entry.queue_seconds = queue_seconds;
+  entry.profile.total_seconds = elapsed;
+  entry.profile.queue_seconds = queue_seconds;
   entry.rows = static_cast<int32_t>(p.request.cells.size());
   entry.cols = p.request.cells.empty()
                    ? 0
@@ -338,18 +343,15 @@ void S4Service::MaybeRecordSlowQuery(const Pending& p,
   entry.k = p.request.options.k;
   entry.strategy = SlowLogStrategyName(p.request.strategy);
   entry.status = result.ok() ? "OK" : result.status().ToString();
-  if (result.ok()) entry.profile = result->profile;
+  if (result.ok()) entry.stats = result->stats;
 
   std::lock_guard<std::mutex> lock(slow_log_mu_);
   // Re-check under the lock: the floor may have risen since the relaxed
   // load (two slow requests completing together).
   if (slow_log_.size() >= options_.slow_log_size) {
-    auto slowest_n_floor = std::min_element(
-        slow_log_.begin(), slow_log_.end(),
-        [](const SlowLogEntry& a, const SlowLogEntry& b) {
-          return a.elapsed_seconds < b.elapsed_seconds;
-        });
-    if (elapsed <= slowest_n_floor->elapsed_seconds) return;
+    auto slowest_n_floor =
+        std::min_element(slow_log_.begin(), slow_log_.end(), FasterRequest);
+    if (elapsed <= slowest_n_floor->profile.total_seconds) return;
     *slowest_n_floor = SlowLogEntry{};  // evict: overwrite in place
     entry.seq = ++slow_log_seq_;
     *slowest_n_floor = std::move(entry);
@@ -359,11 +361,8 @@ void S4Service::MaybeRecordSlowQuery(const Pending& p,
   }
   if (slow_log_.size() >= options_.slow_log_size) {
     const double floor =
-        std::min_element(slow_log_.begin(), slow_log_.end(),
-                         [](const SlowLogEntry& a, const SlowLogEntry& b) {
-                           return a.elapsed_seconds < b.elapsed_seconds;
-                         })
-            ->elapsed_seconds;
+        std::min_element(slow_log_.begin(), slow_log_.end(), FasterRequest)
+            ->profile.total_seconds;
     slow_log_floor_bits_.store(DoubleToBits(floor),
                                std::memory_order_relaxed);
   }
@@ -377,7 +376,7 @@ std::vector<SlowLogEntry> S4Service::SlowLog() const {
   }
   std::sort(snapshot.begin(), snapshot.end(),
             [](const SlowLogEntry& a, const SlowLogEntry& b) {
-              return a.elapsed_seconds > b.elapsed_seconds;
+              return FasterRequest(b, a);
             });
   return snapshot;
 }
@@ -393,25 +392,16 @@ std::string S4Service::SlowLogJson() const {
         "{\"seq\":%llu,\"unix_ts_us\":%lld,\"request_id\":%llu,"
         "\"trace_id\":%llu,\"elapsed_ms\":%.3f,\"queue_ms\":%.3f,"
         "\"rows\":%d,\"cols\":%d,\"k\":%d,\"strategy\":\"%s\","
-        "\"status\":\"%s\",\"profile\":{"
-        "\"enum_ms\":%.3f,\"eval_ms\":%.3f,"
-        "\"candidates_enumerated\":%lld,\"candidates_evaluated\":%lld,"
-        "\"rows_scanned\":%lld,\"cache_hits\":%lld,\"cache_misses\":%lld,"
-        "\"approx_samples\":%lld}}",
+        "\"status\":\"%s\",\"stats\":",
         static_cast<unsigned long long>(e.seq),
         static_cast<long long>(e.unix_ts_us),
         static_cast<unsigned long long>(e.request_id),
         static_cast<unsigned long long>(e.trace_id),
-        e.elapsed_seconds * 1e3, e.queue_seconds * 1e3, e.rows, e.cols, e.k,
-        obs::JsonEscape(e.strategy).c_str(),
-        obs::JsonEscape(e.status).c_str(), e.profile.enum_seconds * 1e3,
-        e.profile.eval_seconds * 1e3,
-        static_cast<long long>(e.profile.candidates_enumerated),
-        static_cast<long long>(e.profile.candidates_evaluated),
-        static_cast<long long>(e.profile.rows_scanned),
-        static_cast<long long>(e.profile.cache_hits),
-        static_cast<long long>(e.profile.cache_misses),
-        static_cast<long long>(e.profile.approx_samples));
+        e.profile.total_seconds * 1e3, e.profile.queue_seconds * 1e3, e.rows,
+        e.cols, e.k, obs::JsonEscape(e.strategy).c_str(),
+        obs::JsonEscape(e.status).c_str());
+    out += obs::RunStatsJson(e.stats);
+    out += '}';
   }
   out += "]}";
   return out;

@@ -104,13 +104,14 @@ struct SlowLogEntry {
   int64_t unix_ts_us = 0;     // wall-clock completion time
   uint64_t request_id = 0;    // trace request id (0 when untraced)
   uint64_t trace_id = 0;      // distributed trace id (0 when untraced)
-  double elapsed_seconds = 0.0;  // admission -> completion
-  double queue_seconds = 0.0;    // admission-queue wait
   int32_t rows = 0;              // query spreadsheet shape
   int32_t cols = 0;
   int32_t k = 0;
   std::string strategy;
   std::string status;  // "OK" or the error Status string
+  RunStats stats;      // zero when the request failed
+  // Admission -> completion and admission-queue wall times, stamped
+  // for failed requests too.
   obs::QueryProfile profile;
 };
 

@@ -7,7 +7,6 @@
 #include "common/timer.h"
 #include "common/topk_heap.h"
 #include "exec/cost_model.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "strategy/strategy_internal.h"
 
@@ -73,31 +72,6 @@ int32_t ShardOfSignature(std::string_view signature, int32_t shard_count) {
   return static_cast<int32_t>(
       FingerprintString(signature) %
       static_cast<uint64_t>(shard_count));
-}
-
-void RunStats::Add(const RunStats& o) {
-  queries_enumerated += o.queries_enumerated;
-  queries_evaluated += o.queries_evaluated;
-  query_row_evals += o.query_row_evals;
-  skipped_by_condition += o.skipped_by_condition;
-  batches += o.batches;
-  bound_updates += o.bound_updates;
-  critical_subs_cached += o.critical_subs_cached;
-  model_cost += o.model_cost;
-  enum_seconds += o.enum_seconds;
-  eval_seconds += o.eval_seconds;
-  approx_sampled += o.approx_sampled;
-  approx_skipped += o.approx_skipped;
-  approx_escalated += o.approx_escalated;
-  approx_samples += o.approx_samples;
-  approx_deadline_fallbacks += o.approx_deadline_fallbacks;
-  counters.Add(o.counters);
-  cache.hits += o.cache.hits;
-  cache.misses += o.cache.misses;
-  cache.insertions += o.cache.insertions;
-  cache.evictions += o.cache.evictions;
-  cache.rejected_too_large += o.cache.rejected_too_large;
-  cache.peak_bytes = std::max(cache.peak_bytes, o.cache.peak_bytes);
 }
 
 PreparedSearch::PreparedSearch(const IndexSet& index,
@@ -236,100 +210,8 @@ void FinishStats(const PreparedSearch& prep, const SubQueryCache* cache,
   stats->enum_seconds = prep.enum_seconds;
   if (cache != nullptr) stats->cache = cache->stats();
 
-  // Derive the per-request profile from the very accumulators that
-  // feed the registry publish below: the two views cannot drift.
-  obs::QueryProfile& p = result->profile;
-  p.enum_seconds = stats->enum_seconds;
-  p.eval_seconds = stats->eval_seconds;
-  p.candidates_enumerated = stats->queries_enumerated;
-  p.candidates_evaluated = stats->queries_evaluated;
-  p.query_row_evals = stats->query_row_evals;
-  p.skipped_by_condition = stats->skipped_by_condition;
-  p.batches = stats->batches;
-  p.bound_updates = stats->bound_updates;
-  p.rows_scanned = stats->counters.rows_scanned;
-  p.hash_lookups = stats->counters.hash_lookups;
-  p.hash_inserts = stats->counters.hash_inserts;
-  p.postings_scanned = stats->counters.postings_scanned;
-  p.cache_hits = stats->cache.hits;
-  p.cache_misses = stats->cache.misses;
-  p.cache_insertions = stats->cache.insertions;
-  p.cache_evictions = stats->cache.evictions;
-  p.cache_peak_bytes = stats->cache.peak_bytes;
-  p.approx_sampled = stats->approx_sampled;
-  p.approx_skipped = stats->approx_skipped;
-  p.approx_escalated = stats->approx_escalated;
-  p.approx_samples = stats->approx_samples;
-  p.approx_deadline_fallbacks = stats->approx_deadline_fallbacks;
-
-  // Bulk-publish the finished run into the process-wide registry: one
-  // batch of striped adds per search, never per candidate, so the hot
-  // path stays free of shared-line traffic. Counter references are
-  // resolved once and cached (the registry never moves them).
-  struct RunCounters {
-    obs::Counter* searches;
-    obs::Counter* enumerated;
-    obs::Counter* evaluated;
-    obs::Counter* row_evals;
-    obs::Counter* skipped;
-    obs::Counter* batches;
-    obs::Counter* bound_updates;
-    obs::Counter* critical_subs;
-    obs::Counter* cache_hits;
-    obs::Counter* cache_misses;
-    obs::Counter* cache_insertions;
-    obs::Counter* cache_evictions;
-    obs::Counter* approx_sampled;
-    obs::Counter* approx_skipped;
-    obs::Counter* approx_escalated;
-    obs::Counter* approx_samples;
-    obs::Counter* approx_deadline_fallbacks;
-    obs::Histogram* enum_seconds;
-    obs::Histogram* eval_seconds;
-  };
-  static const RunCounters c = [] {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    return RunCounters{
-        &reg.GetCounter("s4_searches_total"),
-        &reg.GetCounter("s4_candidates_enumerated_total"),
-        &reg.GetCounter("s4_candidates_evaluated_total"),
-        &reg.GetCounter("s4_query_row_evals_total"),
-        &reg.GetCounter("s4_skipped_by_condition_total"),
-        &reg.GetCounter("s4_batches_total"),
-        &reg.GetCounter("s4_bound_updates_total"),
-        &reg.GetCounter("s4_critical_subs_cached_total"),
-        &reg.GetCounter("s4_cache_probe_hits_total"),
-        &reg.GetCounter("s4_cache_probe_misses_total"),
-        &reg.GetCounter("s4_cache_insertions_total"),
-        &reg.GetCounter("s4_cache_evictions_total"),
-        &reg.GetCounter("s4_approx_candidates_sampled_total"),
-        &reg.GetCounter("s4_approx_skipped_total"),
-        &reg.GetCounter("s4_approx_escalated_total"),
-        &reg.GetCounter("s4_approx_samples_total"),
-        &reg.GetCounter("s4_approx_deadline_fallbacks_total"),
-        &reg.GetHistogram("s4_enum_seconds"),
-        &reg.GetHistogram("s4_eval_seconds"),
-    };
-  }();
-  c.searches->Increment();
-  c.enumerated->Add(stats->queries_enumerated);
-  c.evaluated->Add(stats->queries_evaluated);
-  c.row_evals->Add(stats->query_row_evals);
-  c.skipped->Add(stats->skipped_by_condition);
-  c.batches->Add(stats->batches);
-  c.bound_updates->Add(stats->bound_updates);
-  c.critical_subs->Add(stats->critical_subs_cached);
-  c.cache_hits->Add(stats->cache.hits);
-  c.cache_misses->Add(stats->cache.misses);
-  c.cache_insertions->Add(stats->cache.insertions);
-  c.cache_evictions->Add(stats->cache.evictions);
-  c.approx_sampled->Add(stats->approx_sampled);
-  c.approx_skipped->Add(stats->approx_skipped);
-  c.approx_escalated->Add(stats->approx_escalated);
-  c.approx_samples->Add(stats->approx_samples);
-  c.approx_deadline_fallbacks->Add(stats->approx_deadline_fallbacks);
-  c.enum_seconds->Observe(stats->enum_seconds);
-  c.eval_seconds->Observe(stats->eval_seconds);
+  stats->searches = 1;
+  obs::PublishRunStats(*stats);
 }
 
 int32_t ResolveNumThreads(const SearchOptions& options) {

@@ -10,6 +10,7 @@
 #include "approx/score_interval.h"
 #include "cache/subquery_cache.h"
 #include "obs/profile.h"
+#include "obs/run_stats.h"
 #include "common/stop_token.h"
 #include "enumerate/enumerator.h"
 #include "exec/evaluator.h"
@@ -135,40 +136,6 @@ struct ScoredQuery {
   bool approximate = false;
 };
 
-// Metrics reported by every strategy; the benchmark harnesses print
-// these as the paper's figures.
-struct RunStats {
-  int64_t queries_enumerated = 0;
-  int64_t queries_evaluated = 0;
-  // "PJ query-row evaluations" (Fig 7): evaluated queries times the
-  // number of example-spreadsheet rows each was evaluated on.
-  int64_t query_row_evals = 0;
-  int64_t skipped_by_condition = 0;  // skipping-condition hits (Sec 5.3.4)
-  int64_t batches = 0;               // FASTTOPK batches formed
-  // Times the k-th best score (the termination/skipping bound) rose
-  // when an evaluated candidate entered the top-k heap.
-  int64_t bound_updates = 0;
-  int64_t critical_subs_cached = 0;  // critical sub-PJ queries cached
-  // Model cost actually incurred: sum of cost(Q, M) per Eq. (12)-(13).
-  int64_t model_cost = 0;
-  double enum_seconds = 0.0;  // enumeration + upper-bound computation
-  double eval_seconds = 0.0;  // evaluation (the online bottleneck)
-  // Anytime approximate mode (approx_epsilon > 0): candidates resolved
-  // by the sampling estimator (skipped or offered on their interval),
-  // candidates whose interval straddled and escalated to exact
-  // evaluation, join-result rows walked, and candidates finished in
-  // best-effort sampling mode after the deadline fired.
-  int64_t approx_sampled = 0;
-  int64_t approx_skipped = 0;
-  int64_t approx_escalated = 0;
-  int64_t approx_samples = 0;
-  int64_t approx_deadline_fallbacks = 0;
-  EvalCounters counters;
-  CacheStats cache;
-
-  void Add(const RunStats& o);
-};
-
 // Per-evaluated-query record kept for incremental sessions (Sec 5.4):
 // the per-example-row containment scores score(t | Q) that can be reused
 // verbatim for unchanged rows after the user edits the spreadsheet.
@@ -179,12 +146,12 @@ struct EvaluatedRecord {
 
 struct SearchResult {
   std::vector<ScoredQuery> topk;  // descending score
+  // Every counter of the run (obs/run_stats.h). The shared FinishStats
+  // epilogue publishes exactly this record to the `s4_*` registry, so
+  // the two reconcile field by field.
   RunStats stats;
-  // Per-request resource accounting, filled from `stats` in the shared
-  // FinishStats epilogue — the same accumulators that bulk-publish the
-  // `s4_*` registry counters, so profile and counters reconcile by
-  // construction. The service layer stamps total/queue wall times; the
-  // coordinator appends the per-shard fan-out breakdown.
+  // The timing envelope around `stats`: the service layer stamps the
+  // total/queue wall times.
   obs::QueryProfile profile;
   std::vector<EvaluatedRecord> evaluated;
   // True when the run observed SearchOptions::stop and wound down early:

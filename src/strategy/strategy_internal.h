@@ -43,8 +43,7 @@ ScoredQuery EvaluateCandidate(PreparedSearch& prep,
                               std::vector<EvaluatedRecord>* records);
 
 // Shared epilogue: fold per-run cache stats and enumeration stats into
-// `result->stats`, derive the per-request QueryProfile from the same
-// numbers, and bulk-publish the run into the metrics registry.
+// `result->stats` and publish that record to the metrics registry.
 void FinishStats(const PreparedSearch& prep, const SubQueryCache* cache,
                  SearchResult* result);
 

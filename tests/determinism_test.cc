@@ -99,8 +99,8 @@ void ExpectAllStatsEqual(const RunStats& a, const RunStats& b,
   EXPECT_EQ(a.counters.hash_inserts, b.counters.hash_inserts) << label;
   EXPECT_EQ(a.counters.postings_scanned, b.counters.postings_scanned)
       << label;
-  EXPECT_EQ(a.counters.cache_hits, b.counters.cache_hits) << label;
-  EXPECT_EQ(a.counters.cache_misses, b.counters.cache_misses) << label;
+  EXPECT_EQ(a.counters.tables_reused, b.counters.tables_reused) << label;
+  EXPECT_EQ(a.counters.subtree_misses, b.counters.subtree_misses) << label;
 }
 
 TEST(DeterminismTest, SerialRepeatedRunsIdentical) {

@@ -137,7 +137,8 @@ TEST_P(DistDifferentialTest, CoordinatorBitIdenticalToSingleNode) {
 
       // The slices are disjoint and covering: per-shard enumeration
       // counts sum to the single-node count.
-      EXPECT_EQ(got->queries_enumerated, refs[st].stats.queries_enumerated)
+      EXPECT_EQ(got->stats.queries_enumerated,
+                refs[st].stats.queries_enumerated)
           << label;
     }
   }
@@ -193,9 +194,9 @@ TEST(DistShardingTest, MisroutedSliceRejectedAtAdmission) {
 }
 
 // End-to-end observability across the fleet: a traced+profiled search
-// over real loopback shards must come back with (a) one ShardProfile
-// row per shard whose work counters reconcile with the merged response
-// counters, and (b) a stitched timeline where every shard's wire-carried
+// over real loopback shards must come back with (a) one row per shard
+// whose counter record folds into the merged RunStats, and (b) a
+// stitched timeline where every shard's wire-carried
 // segment appears as its own process, re-parented under the
 // coordinator's scatter span, with no negative timestamps.
 TEST(DistTraceStitchTest, StitchesShardSegmentsAndMergesProfiles) {
@@ -217,16 +218,18 @@ TEST(DistTraceStitchTest, StitchesShardSegmentsAndMergesProfiles) {
   ASSERT_TRUE(got->complete);
 
   // Per-request accounting, merged across the fleet.
-  ASSERT_EQ(got->profile.shards.size(), static_cast<size_t>(kShards));
-  EXPECT_EQ(got->profile.candidates_enumerated, got->queries_enumerated);
-  EXPECT_EQ(got->profile.candidates_evaluated, got->queries_evaluated);
+  ASSERT_EQ(got->shards.size(), static_cast<size_t>(kShards));
   EXPECT_GT(got->profile.total_seconds, 0.0);
-  int64_t enumerated = 0;
-  for (const auto& row : got->profile.shards) {
-    EXPECT_FALSE(row.lost);
-    enumerated += row.enumerated;
+  RunStats folded;
+  for (const auto& row : got->shards) {
+    EXPECT_TRUE(row.reached);
+    folded.Add(row.run);
   }
-  EXPECT_EQ(enumerated, got->queries_enumerated);
+  ForEachStat(
+      [](const StatField& f, const auto& merged, const auto& want) {
+        EXPECT_EQ(merged, want) << f.name;
+      },
+      got->stats, folded);
 
   // Stitched timeline: coordinator spans plus one process per shard.
   auto trace = h.coordinator->last_trace();

@@ -191,9 +191,9 @@ TEST(NetIntegrationTest, EightClientsBitIdenticalToInProcess) {
                     ref.topk[i].query.ToSql(System().db()));
         }
         if (strategies[st] != S4System::Strategy::kFastTopK) {
-          EXPECT_EQ(r->queries_enumerated, ref.stats.queries_enumerated);
-          EXPECT_EQ(r->queries_evaluated, ref.stats.queries_evaluated);
-          EXPECT_EQ(r->query_row_evals, ref.stats.query_row_evals);
+          EXPECT_EQ(r->stats.queries_enumerated, ref.stats.queries_enumerated);
+          EXPECT_EQ(r->stats.queries_evaluated, ref.stats.queries_evaluated);
+          EXPECT_EQ(r->stats.query_row_evals, ref.stats.query_row_evals);
         }
         EXPECT_FALSE(r->interrupted);
       }

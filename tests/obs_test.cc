@@ -1,6 +1,7 @@
 // Observability layer tests: striped counters, gauges, histograms, the
 // process-wide registry and its serializers, per-search trace spans,
 // and the end-to-end wiring through a real FASTTOPK search.
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/run_stats.h"
 #include "obs/trace.h"
 #include "strategy/strategy.h"
 #include "tests/test_util.h"
@@ -422,39 +424,41 @@ TEST(TraceStitchTest, ExportSegmentCarriesTraceIdAndOrigin) {
   EXPECT_NE(seg.events[0].span_id, 0u);
 }
 
-// --- QueryProfile ------------------------------------------------------
+// --- RunStats / QueryProfile ------------------------------------------
+
+// A record with every schema field set to a distinct non-zero value.
+RunStats EveryFieldSet() {
+  RunStats s;
+  int64_t next = 1;
+  ForEachStat([&](const StatField&, auto& v) { v = next++; }, s);
+  return s;
+}
 
 TEST(ObsProfileTest, AccumulateSumsWorkNotWall) {
-  obs::QueryProfile a;
-  a.total_seconds = 1.0;
-  a.enum_seconds = 0.25;
-  a.candidates_evaluated = 10;
-  a.cache_hits = 3;
-  a.cache_peak_bytes = 100;
-  obs::QueryProfile b;
-  b.total_seconds = 2.0;
-  b.enum_seconds = 0.5;
-  b.candidates_evaluated = 5;
-  b.cache_hits = 4;
-  b.cache_peak_bytes = 50;
-
-  a.Accumulate(b);
-  EXPECT_DOUBLE_EQ(a.total_seconds, 1.0);  // wall clocks do not add
-  EXPECT_DOUBLE_EQ(a.enum_seconds, 0.75);
-  EXPECT_EQ(a.candidates_evaluated, 15);
-  EXPECT_EQ(a.cache_hits, 7);
-  EXPECT_EQ(a.cache_peak_bytes, 100u);  // max, not sum
+  RunStats a = EveryFieldSet();
+  RunStats b = EveryFieldSet();
+  b.cache.peak_bytes = 1;
+  const RunStats before = a;
+  a.Add(b);
+  // Counts and stage seconds add; a high-water mark takes the max. Wall
+  // clocks live in QueryProfile, which has no Add: concurrent walls do
+  // not sum.
+  ForEachStat(
+      [](const StatField& f, const auto& got, const auto& x, const auto& y) {
+        if (f.kind == StatKind::kPeak) {
+          EXPECT_EQ(got, std::max(x, y)) << f.name;
+        } else {
+          EXPECT_EQ(got, x + y) << f.name;
+        }
+      },
+      a, before, b);
 }
 
 TEST(ObsProfileTest, FormatProfileSectionsAndErrorBars) {
+  RunStats stats;
+  stats.queries_evaluated = 42;
   obs::QueryProfile p;
   p.total_seconds = 0.002;
-  p.candidates_evaluated = 42;
-  obs::ShardProfile sp;
-  sp.shard_index = 1;
-  sp.enumerated = 7;
-  sp.lost = true;
-  p.shards.push_back(sp);
 
   obs::ProfileHit exact;
   exact.score = 2.5;
@@ -467,12 +471,10 @@ TEST(ObsProfileTest, FormatProfileSectionsAndErrorBars) {
   approx.approximate = true;
   approx.label = "SELECT sampled";
 
-  const std::string out = obs::FormatProfile(p, {exact, approx});
+  const std::string out = obs::FormatProfile(stats, p, {exact, approx});
   EXPECT_NE(out.find("query profile"), std::string::npos);
   EXPECT_NE(out.find("total wall"), std::string::npos);
   EXPECT_NE(out.find("candidates evaluated"), std::string::npos);
-  EXPECT_NE(out.find("shard 1"), std::string::npos);
-  EXPECT_NE(out.find("[lost]"), std::string::npos);
   // Sampler section only appears when the sampler did something.
   EXPECT_EQ(out.find("sampler"), std::string::npos);
   // Error bars on the approximate hit, plain score on the exact one.
@@ -480,22 +482,68 @@ TEST(ObsProfileTest, FormatProfileSectionsAndErrorBars) {
   EXPECT_NE(out.find("in [1.0000, 1.5000] @ 95% conf"), std::string::npos);
 }
 
+TEST(ObsProfileTest, FormatProfileListsEveryField) {
+  const std::string out = obs::FormatProfile(EveryFieldSet(), {});
+  ForEachStat(
+      [&](const StatField& f) {
+        EXPECT_NE(out.find(f.label), std::string::npos) << f.name;
+      });
+}
+
+TEST(ObsProfileTest, RunStatsJsonHasEveryField) {
+  const std::string json = obs::RunStatsJson(EveryFieldSet());
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  ForEachStat([&](const StatField& f) {
+    EXPECT_NE(json.find(std::string("\"") + f.name + "\":"),
+              std::string::npos)
+        << f.name;
+  });
+}
+
+// The registry reconciles with a search's RunStats field by field: every
+// counter moves by exactly the run's value, every stage histogram gains
+// one observation of it, and every high-water gauge covers it.
 TEST(ObsProfileTest, SearchFillsProfileReconcilingWithStats) {
   SearchOptions options;
   options.k = 3;
   options.num_threads = 1;
   ExampleSpreadsheet sheet = Fig2aSheet(TpchIndex());
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   SearchResult result =
       SearchFastTopK(TpchIndex(), TpchGraph(), sheet, options);
-  // FinishStats fills both views from the same accumulators — they can
-  // never drift.
-  EXPECT_EQ(result.profile.candidates_enumerated,
-            result.stats.queries_enumerated);
-  EXPECT_EQ(result.profile.candidates_evaluated,
-            result.stats.queries_evaluated);
-  EXPECT_EQ(result.profile.cache_hits, result.stats.cache.hits);
-  EXPECT_EQ(result.profile.rows_scanned, result.stats.counters.rows_scanned);
-  EXPECT_GE(result.profile.eval_seconds, 0.0);
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+
+  EXPECT_EQ(result.stats.searches, 1);
+  EXPECT_GT(result.stats.queries_evaluated, 0);
+  EXPECT_GT(result.stats.counters.rows_scanned, 0);
+  ForEachStat(
+      [&](const StatField& f, const auto& value) {
+        const MetricsSnapshot::Entry* a = after.Find(f.metric);
+        ASSERT_NE(a, nullptr) << f.metric;
+        const MetricsSnapshot::Entry* b = before.Find(f.metric);
+        switch (f.kind) {
+          case StatKind::kCount:
+            EXPECT_EQ(a->value - (b == nullptr ? 0 : b->value),
+                      static_cast<int64_t>(value))
+                << f.metric;
+            break;
+          case StatKind::kSeconds:
+            EXPECT_EQ(a->histogram.total -
+                          (b == nullptr ? 0 : b->histogram.total),
+                      1)
+                << f.metric;
+            EXPECT_NEAR(a->histogram.sum_seconds -
+                            (b == nullptr ? 0.0 : b->histogram.sum_seconds),
+                        static_cast<double>(value), 1e-6)
+                << f.metric;
+            break;
+          case StatKind::kPeak:
+            EXPECT_GE(a->value, static_cast<int64_t>(value)) << f.metric;
+            break;
+        }
+      },
+      result.stats);
 }
 
 }  // namespace

@@ -495,17 +495,16 @@ TEST(ServiceSlowLogTest, CapturesCompletedRequestsWithProfile) {
 
   const std::vector<SlowLogEntry> log = service.SlowLog();
   ASSERT_EQ(log.size(), 1u);
-  EXPECT_GT(log[0].elapsed_seconds, 0.0);
+  EXPECT_GT(log[0].profile.total_seconds, 0.0);
   EXPECT_EQ(log[0].rows, 3);
   EXPECT_EQ(log[0].cols, 3);
   EXPECT_EQ(log[0].k, 5);
   EXPECT_EQ(log[0].strategy, "fasttopk");
   EXPECT_EQ(log[0].status, "OK");
-  EXPECT_EQ(log[0].profile.candidates_evaluated,
-            result->profile.candidates_evaluated);
+  EXPECT_EQ(log[0].stats.queries_evaluated, result->stats.queries_evaluated);
   const std::string json = service.SlowLogJson();
   EXPECT_NE(json.find("\"elapsed_ms\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"profile\":{"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"stats\":{"), std::string::npos) << json;
 }
 
 TEST(ServiceSlowLogTest, ThresholdFiltersFastRequests) {
@@ -541,7 +540,7 @@ TEST(ServiceSlowLogTest, RingKeepsTheSlowestN) {
   }
   const std::vector<SlowLogEntry> log = service.SlowLog();
   ASSERT_EQ(log.size(), 2u);
-  EXPECT_GE(log[0].elapsed_seconds, log[1].elapsed_seconds);
+  EXPECT_GE(log[0].profile.total_seconds, log[1].profile.total_seconds);
   // Sequence numbers are unique and monotone in capture order.
   EXPECT_NE(log[0].seq, log[1].seq);
 }
@@ -579,7 +578,7 @@ TEST(ServiceSlowLogTest, ConcurrentCaptureIsRaceFree) {
   const std::vector<SlowLogEntry> log = service.SlowLog();
   ASSERT_EQ(log.size(), 4u);
   for (size_t i = 1; i < log.size(); ++i) {
-    EXPECT_GE(log[i - 1].elapsed_seconds, log[i].elapsed_seconds);
+    EXPECT_GE(log[i - 1].profile.total_seconds, log[i].profile.total_seconds);
   }
 }
 

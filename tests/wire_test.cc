@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,44 +92,28 @@ NetSearchRequest RandomRequest(Rng& rng) {
   return req;
 }
 
+// Every counter-schema field drawn at random, each in its own type (the
+// generator derives from the schema, so a new field is covered without
+// an edit here).
+RunStats RandomStats(Rng& rng) {
+  RunStats stats;
+  ForEachStat(
+      [&](const StatField&, auto& v) {
+        using T = std::remove_reference_t<decltype(v)>;
+        if constexpr (std::is_floating_point_v<T>) {
+          v = RandomDouble(rng);
+        } else {
+          v = static_cast<T>(rng.Next());
+        }
+      },
+      stats);
+  return stats;
+}
+
 obs::QueryProfile RandomProfile(Rng& rng) {
   obs::QueryProfile p;
   p.total_seconds = RandomDouble(rng);
   p.queue_seconds = RandomDouble(rng);
-  p.enum_seconds = RandomDouble(rng);
-  p.eval_seconds = RandomDouble(rng);
-  p.candidates_enumerated = static_cast<int64_t>(rng.Next());
-  p.candidates_evaluated = static_cast<int64_t>(rng.Next());
-  p.query_row_evals = static_cast<int64_t>(rng.Next());
-  p.skipped_by_condition = static_cast<int64_t>(rng.Next());
-  p.batches = static_cast<int64_t>(rng.Next());
-  p.bound_updates = static_cast<int64_t>(rng.Next());
-  p.rows_scanned = static_cast<int64_t>(rng.Next());
-  p.hash_lookups = static_cast<int64_t>(rng.Next());
-  p.hash_inserts = static_cast<int64_t>(rng.Next());
-  p.postings_scanned = static_cast<int64_t>(rng.Next());
-  p.cache_hits = static_cast<int64_t>(rng.Next());
-  p.cache_misses = static_cast<int64_t>(rng.Next());
-  p.cache_insertions = static_cast<int64_t>(rng.Next());
-  p.cache_evictions = static_cast<int64_t>(rng.Next());
-  p.cache_peak_bytes = rng.Next();
-  p.approx_sampled = static_cast<int64_t>(rng.Next());
-  p.approx_skipped = static_cast<int64_t>(rng.Next());
-  p.approx_escalated = static_cast<int64_t>(rng.Next());
-  p.approx_samples = static_cast<int64_t>(rng.Next());
-  p.approx_deadline_fallbacks = static_cast<int64_t>(rng.Next());
-  const size_t n = rng.Uniform(4);
-  for (size_t i = 0; i < n; ++i) {
-    obs::ShardProfile s;
-    s.shard_index = static_cast<int32_t>(rng.Next());
-    s.wall_seconds = RandomDouble(rng);
-    s.enumerated = static_cast<int64_t>(rng.Next());
-    s.evaluated = static_cast<int64_t>(rng.Next());
-    s.partials = static_cast<int64_t>(rng.Next());
-    s.lost = rng.Bernoulli(0.5);
-    s.approximate = rng.Bernoulli(0.5);
-    p.shards.push_back(s);
-  }
   return p;
 }
 
@@ -176,17 +161,7 @@ NetSearchResponse RandomResponse(Rng& rng) {
   }
   resp.interrupted = rng.Bernoulli(0.5);
   resp.approximate = rng.Bernoulli(0.5);
-  resp.queries_enumerated = static_cast<int64_t>(rng.Next());
-  resp.queries_evaluated = static_cast<int64_t>(rng.Next());
-  resp.query_row_evals = static_cast<int64_t>(rng.Next());
-  resp.skipped_by_condition = static_cast<int64_t>(rng.Next());
-  resp.model_cost = static_cast<int64_t>(rng.Next());
-  resp.enum_seconds = RandomDouble(rng);
-  resp.eval_seconds = RandomDouble(rng);
-  resp.cache_hits = static_cast<int64_t>(rng.Next());
-  resp.cache_misses = static_cast<int64_t>(rng.Next());
-  resp.cache_evictions = static_cast<int64_t>(rng.Next());
-  resp.cache_peak_bytes = rng.Next();
+  resp.stats = RandomStats(rng);
   resp.server_seconds = RandomDouble(rng);
   resp.has_profile = rng.Bernoulli(0.5);
   if (resp.has_profile) resp.profile = RandomProfile(rng);
@@ -347,45 +322,20 @@ TEST(WireCodecTest, RequestRoundTripProperty) {
   }
 }
 
-// Field-by-field profile comparison shared by the response and
-// shard-done round-trip suites.
+// Every schema field, bitwise (doubles included), shared by the response
+// and shard-done round-trip suites.
+void ExpectStatsEq(const RunStats& got, const RunStats& want) {
+  ForEachStat(
+      [](const StatField& f, const auto& g, const auto& w) {
+        EXPECT_EQ(std::memcmp(&g, &w, sizeof(g)), 0) << f.name;
+      },
+      got, want);
+}
+
 void ExpectProfileEq(const obs::QueryProfile& got,
                      const obs::QueryProfile& want) {
   EXPECT_TRUE(BitEqual(got.total_seconds, want.total_seconds));
   EXPECT_TRUE(BitEqual(got.queue_seconds, want.queue_seconds));
-  EXPECT_TRUE(BitEqual(got.enum_seconds, want.enum_seconds));
-  EXPECT_TRUE(BitEqual(got.eval_seconds, want.eval_seconds));
-  EXPECT_EQ(got.candidates_enumerated, want.candidates_enumerated);
-  EXPECT_EQ(got.candidates_evaluated, want.candidates_evaluated);
-  EXPECT_EQ(got.query_row_evals, want.query_row_evals);
-  EXPECT_EQ(got.skipped_by_condition, want.skipped_by_condition);
-  EXPECT_EQ(got.batches, want.batches);
-  EXPECT_EQ(got.bound_updates, want.bound_updates);
-  EXPECT_EQ(got.rows_scanned, want.rows_scanned);
-  EXPECT_EQ(got.hash_lookups, want.hash_lookups);
-  EXPECT_EQ(got.hash_inserts, want.hash_inserts);
-  EXPECT_EQ(got.postings_scanned, want.postings_scanned);
-  EXPECT_EQ(got.cache_hits, want.cache_hits);
-  EXPECT_EQ(got.cache_misses, want.cache_misses);
-  EXPECT_EQ(got.cache_insertions, want.cache_insertions);
-  EXPECT_EQ(got.cache_evictions, want.cache_evictions);
-  EXPECT_EQ(got.cache_peak_bytes, want.cache_peak_bytes);
-  EXPECT_EQ(got.approx_sampled, want.approx_sampled);
-  EXPECT_EQ(got.approx_skipped, want.approx_skipped);
-  EXPECT_EQ(got.approx_escalated, want.approx_escalated);
-  EXPECT_EQ(got.approx_samples, want.approx_samples);
-  EXPECT_EQ(got.approx_deadline_fallbacks, want.approx_deadline_fallbacks);
-  ASSERT_EQ(got.shards.size(), want.shards.size());
-  for (size_t i = 0; i < want.shards.size(); ++i) {
-    EXPECT_EQ(got.shards[i].shard_index, want.shards[i].shard_index);
-    EXPECT_TRUE(
-        BitEqual(got.shards[i].wall_seconds, want.shards[i].wall_seconds));
-    EXPECT_EQ(got.shards[i].enumerated, want.shards[i].enumerated);
-    EXPECT_EQ(got.shards[i].evaluated, want.shards[i].evaluated);
-    EXPECT_EQ(got.shards[i].partials, want.shards[i].partials);
-    EXPECT_EQ(got.shards[i].lost, want.shards[i].lost);
-    EXPECT_EQ(got.shards[i].approximate, want.shards[i].approximate);
-  }
 }
 
 void ExpectSegmentEq(const obs::TraceSegment& got,
@@ -444,17 +394,7 @@ TEST(WireCodecTest, ResponseRoundTripProperty) {
     }
     EXPECT_EQ(got.interrupted, resp.interrupted);
     EXPECT_EQ(got.approximate, resp.approximate);
-    EXPECT_EQ(got.queries_enumerated, resp.queries_enumerated);
-    EXPECT_EQ(got.queries_evaluated, resp.queries_evaluated);
-    EXPECT_EQ(got.query_row_evals, resp.query_row_evals);
-    EXPECT_EQ(got.skipped_by_condition, resp.skipped_by_condition);
-    EXPECT_EQ(got.model_cost, resp.model_cost);
-    EXPECT_TRUE(BitEqual(got.enum_seconds, resp.enum_seconds));
-    EXPECT_TRUE(BitEqual(got.eval_seconds, resp.eval_seconds));
-    EXPECT_EQ(got.cache_hits, resp.cache_hits);
-    EXPECT_EQ(got.cache_misses, resp.cache_misses);
-    EXPECT_EQ(got.cache_evictions, resp.cache_evictions);
-    EXPECT_EQ(got.cache_peak_bytes, resp.cache_peak_bytes);
+    ExpectStatsEq(got.stats, resp.stats);
     EXPECT_TRUE(BitEqual(got.server_seconds, resp.server_seconds));
     ASSERT_EQ(got.has_profile, resp.has_profile);
     if (resp.has_profile) ExpectProfileEq(got.profile, resp.profile);
@@ -699,8 +639,7 @@ TEST(WireCodecTest, ShardDoneRoundTripProperty) {
           BitEqual(got.response.topk[j].score, done.response.topk[j].score));
     }
     EXPECT_EQ(got.response.interrupted, done.response.interrupted);
-    EXPECT_EQ(got.response.queries_enumerated,
-              done.response.queries_enumerated);
+    ExpectStatsEq(got.response.stats, done.response.stats);
     ASSERT_EQ(got.response.has_profile, done.response.has_profile);
     if (done.response.has_profile) {
       ExpectProfileEq(got.response.profile, done.response.profile);
@@ -1011,31 +950,16 @@ TEST(WireCodecTest, SlowLogFrames) {
 // --- hostile profile / trace-segment sections ---------------------------
 
 TEST(WireCodecTest, ProfileHostileFieldsRejected) {
-  {
-    // has_profile must be a strict boolean: the flag byte is the last
-    // payload byte when no profile follows.
-    NetSearchResponse resp;
-    std::string frame = EncodeSearchResponseFrame(resp, 1);
-    frame.back() = 2;
-    NetSearchResponse got;
-    const Status st = DecodeSearchResponse(
-        std::string_view(frame).substr(kHeaderBytes), &got);
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  }
-  {
-    // Shard-row count above the cap: the u32 count is the last 4 payload
-    // bytes when the profile carries no rows.
-    NetSearchResponse resp;
-    resp.has_profile = true;
-    std::string frame = EncodeSearchResponseFrame(resp, 2);
-    const uint32_t hostile = static_cast<uint32_t>(kMaxWireProfileShards) + 1;
-    memcpy(frame.data() + frame.size() - 4, &hostile, sizeof(hostile));
-    NetSearchResponse got;
-    EXPECT_FALSE(DecodeSearchResponse(
-                     std::string_view(frame).substr(kHeaderBytes), &got)
-                     .ok());
-  }
+  // has_profile must be a strict boolean: the flag byte is the last
+  // payload byte when no profile follows.
+  NetSearchResponse resp;
+  std::string frame = EncodeSearchResponseFrame(resp, 1);
+  frame.back() = 2;
+  NetSearchResponse got;
+  const Status st = DecodeSearchResponse(
+      std::string_view(frame).substr(kHeaderBytes), &got);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(WireCodecTest, SegmentHostileFieldsRejected) {

@@ -31,7 +31,16 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
+  // Counted inside the task body, so the increment happens-before the
+  // future becomes ready (even when fn throws): a caller that has waited
+  // on every future reads an exact `executed`.
+  std::packaged_task<void()> task([this, fn = std::move(fn)] {
+    struct CountOnExit {
+      std::atomic<int64_t>* executed;
+      ~CountOnExit() { executed->fetch_add(1, std::memory_order_relaxed); }
+    } count{&executed_};
+    fn();
+  });
   std::future<void> fut = task.get_future();
   Worker& w = *workers_[next_queue_.fetch_add(1, std::memory_order_relaxed) %
                         workers_.size()];
@@ -74,7 +83,6 @@ bool ThreadPool::RunOneTask(size_t self) {
   if (!task.valid()) return false;
   queued_.fetch_sub(1, std::memory_order_relaxed);
   task();  // exceptions land in the task's future
-  executed_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 

@@ -25,15 +25,6 @@ double Elapsed(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Remaining budget for the socket helpers: 0 budget = no deadline, and
-// an exhausted budget becomes an immediate timeout rather than falling
-// through to "no deadline" (same convention as the client).
-double Remaining(std::chrono::steady_clock::time_point start,
-                 double budget_seconds) {
-  if (budget_seconds <= 0.0) return 0.0;
-  return std::max(budget_seconds - Elapsed(start), 1e-4);
-}
-
 // Global merge order: score descending, then signature ascending — the
 // same canonical total order TopKHeap uses for boundary ties, so the
 // merged prefix is bit-identical to the single-node selection
@@ -149,7 +140,7 @@ void S4Coordinator::CheckEarlyStops(MergeState& state) {
         next_request_id_.fetch_add(1, std::memory_order_relaxed));
     std::lock_guard<std::mutex> io(slot.io_mu);
     // A failed or late delivery is harmless: the shard just finishes
-    // its slice and the kShardDone merges like any other.
+    // its slice and the final response merges like any other.
     if (slot.fd >= 0 &&
         net::SendAll(slot.fd, frame.data(), frame.size(), 0.25).ok()) {
       slot.stats.early_stopped = true;
@@ -173,7 +164,7 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
     slot.reported = false;
     slot.stop_sent = false;
   }
-  const double remaining = Remaining(state.start, state.budget);
+  const double remaining = net::Remaining(state.start, state.budget);
   if (state.budget > 0.0 && remaining <= 1e-3) {
     return Status::DeadlineExceeded(
         "coordinator budget exhausted before the shard exchange");
@@ -188,14 +179,13 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
   if (!fd_or.ok()) return fd_or.status();
   UniqueFd fd = std::move(*fd_or);
 
-  net::NetShardSearchRequest sreq;
-  sreq.base = request;
+  net::NetSearchRequest sreq = request;
   sreq.shard_count = static_cast<int32_t>(options_.shards.size());
   sreq.shard_index = index;
   sreq.partial_every = options_.partial_every;
   if (state.trace != nullptr) {
     // Cross-shard trace propagation: the shard records its own segment
-    // under our trace id and ships it back on kShardDone; the origin
+    // under our trace id and ships it back on its response; the origin
     // wall-clock lets the import normalize the two machines' clocks.
     sreq.want_trace = true;
     sreq.trace_id = state.trace->trace_id();
@@ -205,14 +195,14 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
   if (state.budget > 0.0) {
     // Grant the shard a slice of what is left, keeping headroom for the
     // final merge and the wire.
-    sreq.base.deadline_seconds =
-        std::max(Remaining(state.start, state.budget) *
+    sreq.deadline_seconds =
+        std::max(net::Remaining(state.start, state.budget) *
                      options_.shard_deadline_fraction,
                  1e-3);
   }
   const uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  const std::string frame = net::EncodeShardSearchRequestFrame(sreq, id);
+  const std::string frame = net::EncodeSearchRequestFrame(sreq, id);
 
   {
     std::lock_guard<std::mutex> lock(state.mu);
@@ -222,49 +212,23 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
     std::lock_guard<std::mutex> io(slot.io_mu);
     slot.fd = fd.get();
   }
-  const auto unpublish = [&slot] {
-    std::lock_guard<std::mutex> io(slot.io_mu);
-    slot.fd = -1;
-  };
+  // Unpublished on every way out, before `fd` closes.
+  struct Unpublish {
+    MergeState::Slot& slot;
+    ~Unpublish() {
+      std::lock_guard<std::mutex> io(slot.io_mu);
+      slot.fd = -1;
+    }
+  } unpublish{slot};
 
-  Status st = net::SendAll(fd.get(), frame.data(), frame.size(),
-                           Remaining(state.start, state.budget));
-  if (!st.ok()) {
-    unpublish();
-    return st;
-  }
+  S4_RETURN_IF_ERROR(net::SendAll(fd.get(), frame.data(), frame.size(),
+                                  net::Remaining(state.start, state.budget)));
   while (true) {
-    char header[net::kHeaderBytes];
-    st = net::RecvAll(fd.get(), header, net::kHeaderBytes,
-                      Remaining(state.start, state.budget));
-    if (!st.ok()) {
-      unpublish();
-      return st;
-    }
     net::FrameHeader h;
-    st = net::DecodeFrameHeader(std::string_view(header, net::kHeaderBytes),
-                                &h);
-    if (!st.ok()) {
-      unpublish();
-      return st;
-    }
-    if (h.payload_len > net::kDefaultMaxFrameBytes) {
-      unpublish();
-      return Status::Internal(
-          StrFormat("shard %d sent an oversized frame (%u bytes)", index,
-                    h.payload_len));
-    }
-    std::string payload(h.payload_len, '\0');
-    if (h.payload_len > 0) {
-      st = net::RecvAll(fd.get(), payload.data(), payload.size(),
-                        Remaining(state.start, state.budget));
-      if (!st.ok()) {
-        unpublish();
-        return st;
-      }
-    }
+    std::string payload;
+    S4_RETURN_IF_ERROR(net::RecvFrame(
+        fd.get(), net::Remaining(state.start, state.budget), &h, &payload));
     if (h.request_id != id) {
-      unpublish();
       return Status::Internal(
           StrFormat("shard %d stream out of sync: frame for request %llu "
                     "while waiting for %llu",
@@ -274,11 +238,7 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
     switch (h.type) {
       case net::FrameType::kShardPartial: {
         net::NetShardPartial partial;
-        st = net::DecodeShardPartial(payload, &partial);
-        if (!st.ok()) {
-          unpublish();
-          return st;
-        }
+        S4_RETURN_IF_ERROR(net::DecodeShardPartial(payload, &partial));
         std::lock_guard<std::mutex> lock(state.mu);
         slot.topk = std::move(partial.topk);
         slot.remaining_ub = partial.remaining_upper_bound;
@@ -286,63 +246,53 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
         // one is just as binding for the merge.
         for (const auto& e : slot.topk) slot.approximate |= e.approximate;
         slot.reported = true;
-        slot.stats.run.queries_enumerated = partial.enumerated;
-        slot.stats.run.queries_evaluated = partial.evaluated;
-        slot.stats.run.batches = partial.batches;
+        slot.stats.run = partial.stats;
         ++slot.stats.partials;
         ++state.partials_received;
         CheckEarlyStops(state);
         break;
       }
-      case net::FrameType::kShardDone: {
-        net::NetShardDone done;
-        st = net::DecodeShardDone(payload, &done);
-        if (!st.ok()) {
-          unpublish();
-          return st;
-        }
-        unpublish();
-        if (done.has_segment && state.trace != nullptr) {
+      case net::FrameType::kSearchResponse: {
+        net::NetSearchResponse resp;
+        S4_RETURN_IF_ERROR(net::DecodeSearchResponse(payload, &resp));
+        if (resp.has_segment && state.trace != nullptr) {
           // Stitch the shard's timeline in as its own process, nested
           // under the scatter span. Trace has its own lock; pid 2+i
           // keeps shard processes distinct from the coordinator (pid 1).
-          state.trace->ImportSegment(done.segment,
+          state.trace->ImportSegment(resp.segment,
                                      /*pid=*/2 + static_cast<uint32_t>(index),
                                      StrFormat("shard %d", index),
                                      state.scatter_span_id);
         }
         std::lock_guard<std::mutex> lock(state.mu);
-        slot.topk = std::move(done.response.topk);
-        slot.remaining_ub = done.remaining_upper_bound;
-        slot.approximate = done.response.approximate;
+        slot.topk = std::move(resp.topk);
+        slot.approximate = resp.approximate;
         slot.reported = true;
-        slot.stats.run = done.response.stats;
-        // This shard's final answer may unlock stops for the others.
+        slot.stats.run = resp.stats;
+        // A finished slice has nothing left to evaluate, so it is done
+        // before the check (its remaining bound is moot); its final
+        // top-k may unlock stops for the others.
+        slot.done = true;
         CheckEarlyStops(state);
         return Status::OK();
       }
       case net::FrameType::kError: {
         net::NetError err;
-        st = net::DecodeError(payload, &err);
-        unpublish();
-        if (!st.ok()) return st;
+        S4_RETURN_IF_ERROR(net::DecodeError(payload, &err));
         const Status app = err.ToStatus();
-        {
-          std::lock_guard<std::mutex> lock(state.mu);
-          if (slot.stop_sent &&
-              (app.code() == StatusCode::kCancelled ||
-               app.code() == StatusCode::kDeadlineExceeded)) {
-            // The normal end of an early-stopped exchange: the shard
-            // honoured kShardStop (or its deadline fired after ours
-            // made it irrelevant). Its last snapshot is final — nothing
-            // it had left could beat the merged kth.
-            return Status::OK();
-          }
+        std::lock_guard<std::mutex> lock(state.mu);
+        if (slot.stop_sent &&
+            (app.code() == StatusCode::kCancelled ||
+             app.code() == StatusCode::kDeadlineExceeded)) {
+          // The normal end of an early-stopped exchange: the shard
+          // honoured kShardStop (or its deadline fired after ours made
+          // it irrelevant). Its last snapshot is final — nothing it had
+          // left could beat the merged kth.
+          return Status::OK();
         }
         return app;
       }
       default:
-        unpublish();
         return Status::Internal(
             StrFormat("unexpected frame type %u in shard %d exchange",
                       static_cast<unsigned>(h.type), index));

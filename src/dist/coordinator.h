@@ -55,9 +55,9 @@ struct DistShardStats {
   bool early_stopped = false;   // coordinator sent kShardStop
   int32_t retries = 0;
   int64_t partials = 0;         // kShardPartial frames received
-  // The shard's counter record: its kShardDone RunStats, or — for a
-  // shard stopped before it finished — the slice coverage its last
-  // partial reported (queries_enumerated, queries_evaluated, batches).
+  // The shard's counter record: its final response's RunStats, or — for
+  // a shard stopped before it finished — the record its last partial
+  // reported (queries_enumerated is then still the exact slice size).
   RunStats run;
   double wall_seconds = 0.0;
   std::string error;  // last failure message when not reached
@@ -113,13 +113,14 @@ struct DistMutateResult {
 };
 
 // Scatter-gather coordinator over N S4Server shards (DESIGN.md
-// "Distributed serving"). Fans a search out as kShardSearchRequest
-// exchanges, one blocking connection per shard, merges the streamed
-// kShardPartial snapshots under the global top-k, and sends kShardStop
-// to any shard whose remaining upper bound can no longer beat the
-// merged kth score — the FASTTOPK termination condition (7) lifted to
-// cluster scope. Thread-safe: concurrent Search calls share nothing but
-// the process-wide metrics registry.
+// "Distributed serving"). Fans a search out as one kSearchRequest per
+// shard naming its slice, one blocking connection each, merges the
+// streamed kShardPartial snapshots and final kSearchResponse frames under
+// the global top-k, and sends kShardStop to any shard whose remaining
+// upper bound can no longer beat the merged kth score — the FASTTOPK
+// termination condition (7) lifted to cluster scope. Thread-safe:
+// concurrent Search calls share nothing but the process-wide metrics
+// registry.
 class S4Coordinator {
  public:
   explicit S4Coordinator(CoordinatorOptions options);

@@ -1,6 +1,5 @@
 #include "net/client.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -8,21 +7,6 @@
 #include "net/socket_util.h"
 
 namespace s4::net {
-
-namespace {
-
-double Remaining(std::chrono::steady_clock::time_point start,
-                 double budget_seconds) {
-  if (budget_seconds <= 0.0) return 0.0;  // 0 = no deadline downstream
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  // Never fall to <= 0 with a budget set: 0 means "no deadline" to the
-  // socket helpers. An exhausted budget becomes an immediate timeout.
-  return std::max(budget_seconds - elapsed, 1e-4);
-}
-
-}  // namespace
 
 S4Client::S4Client(ClientOptions options) : options_(std::move(options)) {}
 
@@ -58,24 +42,10 @@ StatusOr<S4Client::RawReply> S4Client::RoundTripOn(int fd,
   const double budget = options_.request_timeout_seconds;
   S4_RETURN_IF_ERROR(SendAll(fd, frame.data(), frame.size(),
                              Remaining(start, budget)));
-  char header[kHeaderBytes];
-  S4_RETURN_IF_ERROR(
-      RecvAll(fd, header, kHeaderBytes, Remaining(start, budget)));
   FrameHeader h;
-  S4_RETURN_IF_ERROR(
-      DecodeFrameHeader(std::string_view(header, kHeaderBytes), &h));
-  if (h.payload_len > kDefaultMaxFrameBytes) {
-    return Status::Internal(
-        StrFormat("server sent an oversized frame (%u bytes)",
-                  h.payload_len));
-  }
   RawReply reply;
-  reply.type = h.type;
-  reply.payload.resize(h.payload_len);
-  if (h.payload_len > 0) {
-    S4_RETURN_IF_ERROR(RecvAll(fd, reply.payload.data(), h.payload_len,
-                               Remaining(start, budget)));
-  }
+  S4_RETURN_IF_ERROR(
+      RecvFrame(fd, Remaining(start, budget), &h, &reply.payload));
   if (h.request_id != request_id) {
     // The stream is out of sync (a previous call abandoned a response
     // mid-read, or the server is confused); the socket must not be
@@ -85,6 +55,7 @@ StatusOr<S4Client::RawReply> S4Client::RoundTripOn(int fd,
                   static_cast<unsigned long long>(h.request_id),
                   static_cast<unsigned long long>(request_id)));
   }
+  reply.type = h.type;
   *reusable = true;
   return reply;
 }
@@ -114,134 +85,68 @@ StatusOr<S4Client::RawReply> S4Client::RoundTrip(const std::string& frame,
   return Status::Internal("unreachable");  // loop always returns
 }
 
-StatusOr<NetSearchResponse> S4Client::Search(
-    const NetSearchRequest& request, uint64_t* request_id_out) {
+StatusOr<std::string> S4Client::Exchange(
+    const std::function<std::string(uint64_t)>& encode, FrameType want,
+    uint64_t* request_id_out) {
   const uint64_t id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
   if (request_id_out != nullptr) *request_id_out = id;
-  auto reply = RoundTrip(EncodeSearchRequestFrame(request, id), id);
+  auto reply = RoundTrip(encode(id), id);
   if (!reply.ok()) return reply.status();
-  switch (reply->type) {
-    case FrameType::kSearchResponse: {
-      NetSearchResponse resp;
-      S4_RETURN_IF_ERROR(DecodeSearchResponse(reply->payload, &resp));
-      return resp;
-    }
-    case FrameType::kError: {
-      NetError err;
-      S4_RETURN_IF_ERROR(DecodeError(reply->payload, &err));
-      return err.ToStatus();
-    }
-    default:
-      return Status::Internal(
-          StrFormat("unexpected frame type %u in reply",
-                    static_cast<unsigned>(reply->type)));
-  }
-}
-
-StatusOr<NetMutateResponse> S4Client::Mutate(
-    const std::vector<Mutation>& mutations, uint64_t* request_id_out) {
-  const uint64_t id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  if (request_id_out != nullptr) *request_id_out = id;
-  NetMutateRequest req;
-  req.mutations = mutations;
-  auto reply = RoundTrip(EncodeMutateRequestFrame(req, id), id);
-  if (!reply.ok()) return reply.status();
-  switch (reply->type) {
-    case FrameType::kMutateResponse: {
-      NetMutateResponse resp;
-      S4_RETURN_IF_ERROR(DecodeMutateResponse(reply->payload, &resp));
-      return resp;
-    }
-    case FrameType::kError: {
-      NetError err;
-      S4_RETURN_IF_ERROR(DecodeError(reply->payload, &err));
-      return err.ToStatus();
-    }
-    default:
-      return Status::Internal(
-          StrFormat("unexpected frame type %u in mutate reply",
-                    static_cast<unsigned>(reply->type)));
-  }
-}
-
-Status S4Client::Ping() {
-  const uint64_t id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  auto reply = RoundTrip(EncodePingFrame(id), id);
-  if (!reply.ok()) return reply.status();
+  if (reply->type == want) return std::move(reply->payload);
   if (reply->type == FrameType::kError) {
     NetError err;
     S4_RETURN_IF_ERROR(DecodeError(reply->payload, &err));
     return err.ToStatus();
   }
-  if (reply->type != FrameType::kPong) {
-    return Status::Internal(
-        StrFormat("unexpected frame type %u in ping reply",
-                  static_cast<unsigned>(reply->type)));
-  }
-  return Status::OK();
+  return Status::Internal(
+      StrFormat("unexpected frame type %u in reply (wanted %u)",
+                static_cast<unsigned>(reply->type),
+                static_cast<unsigned>(want)));
+}
+
+StatusOr<NetSearchResponse> S4Client::Search(
+    const NetSearchRequest& request, uint64_t* request_id_out) {
+  auto payload = Exchange(
+      [&](uint64_t id) { return EncodeSearchRequestFrame(request, id); },
+      FrameType::kSearchResponse, request_id_out);
+  if (!payload.ok()) return payload.status();
+  NetSearchResponse resp;
+  S4_RETURN_IF_ERROR(DecodeSearchResponse(*payload, &resp));
+  return resp;
+}
+
+StatusOr<NetMutateResponse> S4Client::Mutate(
+    const std::vector<Mutation>& mutations, uint64_t* request_id_out) {
+  NetMutateRequest req;
+  req.mutations = mutations;
+  auto payload = Exchange(
+      [&](uint64_t id) { return EncodeMutateRequestFrame(req, id); },
+      FrameType::kMutateResponse, request_id_out);
+  if (!payload.ok()) return payload.status();
+  NetMutateResponse resp;
+  S4_RETURN_IF_ERROR(DecodeMutateResponse(*payload, &resp));
+  return resp;
+}
+
+Status S4Client::Ping() {
+  return Exchange(EncodePingFrame, FrameType::kPong).status();
 }
 
 StatusOr<std::string> S4Client::Stats() {
-  const uint64_t id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  auto reply = RoundTrip(EncodeStatsRequestFrame(id), id);
-  if (!reply.ok()) return reply.status();
-  switch (reply->type) {
-    case FrameType::kStatsResponse:
-      return std::move(reply->payload);
-    case FrameType::kError: {
-      NetError err;
-      S4_RETURN_IF_ERROR(DecodeError(reply->payload, &err));
-      return err.ToStatus();
-    }
-    default:
-      return Status::Internal(
-          StrFormat("unexpected frame type %u in stats reply",
-                    static_cast<unsigned>(reply->type)));
-  }
+  return Exchange(EncodeStatsRequestFrame, FrameType::kStatsResponse);
 }
 
 StatusOr<std::string> S4Client::FetchTrace(uint64_t request_id) {
-  const uint64_t id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  auto reply = RoundTrip(EncodeTraceRequestFrame(request_id, id), id);
-  if (!reply.ok()) return reply.status();
-  switch (reply->type) {
-    case FrameType::kTraceResponse:
-      return std::move(reply->payload);
-    case FrameType::kError: {
-      NetError err;
-      S4_RETURN_IF_ERROR(DecodeError(reply->payload, &err));
-      return err.ToStatus();
-    }
-    default:
-      return Status::Internal(
-          StrFormat("unexpected frame type %u in trace reply",
-                    static_cast<unsigned>(reply->type)));
-  }
+  return Exchange(
+      [request_id](uint64_t id) {
+        return EncodeTraceRequestFrame(request_id, id);
+      },
+      FrameType::kTraceResponse);
 }
 
 StatusOr<std::string> S4Client::FetchSlowLog() {
-  const uint64_t id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  auto reply = RoundTrip(EncodeSlowLogRequestFrame(id), id);
-  if (!reply.ok()) return reply.status();
-  switch (reply->type) {
-    case FrameType::kSlowLogResponse:
-      return std::move(reply->payload);
-    case FrameType::kError: {
-      NetError err;
-      S4_RETURN_IF_ERROR(DecodeError(reply->payload, &err));
-      return err.ToStatus();
-    }
-    default:
-      return Status::Internal(
-          StrFormat("unexpected frame type %u in slow-log reply",
-                    static_cast<unsigned>(reply->type)));
-  }
+  return Exchange(EncodeSlowLogRequestFrame, FrameType::kSlowLogResponse);
 }
 
 }  // namespace s4::net

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -73,6 +74,13 @@ class S4Client {
     std::string payload;
   };
 
+  // One exchange under a fresh request id (reported through
+  // `request_id_out`): sends `encode(id)` and returns the reply payload
+  // when the reply is a `want` frame. A kError reply becomes the typed
+  // Status it carries; any other frame type is Internal.
+  StatusOr<std::string> Exchange(
+      const std::function<std::string(uint64_t)>& encode, FrameType want,
+      uint64_t* request_id_out = nullptr);
   // Sends `frame` and reads the response frame for `request_id`,
   // handling pool checkout/return and the one stale-connection retry.
   StatusOr<RawReply> RoundTrip(const std::string& frame,

@@ -134,25 +134,10 @@ void Connection::HandleFrame(const FrameHeader& h,
                                           std::move(req));
       return;
     }
-    case FrameType::kShardSearchRequest: {
-      loop_->counters()->shard_requests.fetch_add(1,
-                                                  std::memory_order_relaxed);
-      NetShardSearchRequest req;
-      WallTimer decode_timer;
-      const Status ds = DecodeShardSearchRequest(payload, &req);
-      req.base.decode_seconds = decode_timer.ElapsedSeconds();
-      if (!ds.ok()) {
-        SendError(h.request_id, ds, /*close_after=*/false);
-        return;
-      }
-      loop_->dispatcher()->DispatchShardSearch(shared_from_this(),
-                                               h.request_id, std::move(req));
-      return;
-    }
     case FrameType::kShardStop: {
       // Early-stop from a coordinator: cancel the named exchange's stop
       // token; the dispatch in flight completes with its partial top-k.
-      // No reply frame — the kShardDone it triggers is the answer.
+      // No reply frame — the response it triggers is the answer.
       uint64_t target = 0;
       const Status ds = DecodeShardStop(payload, &target);
       if (!ds.ok()) {

@@ -65,8 +65,8 @@ class Connection : public std::enable_shared_from_this<Connection> {
   size_t inflight() const { return inflight_.size(); }
 
   // Cancels the in-flight request's stop token without retiring the
-  // entry (the dispatcher still completes it, typically with a partial
-  // kShardDone). Unknown ids are ignored: an early-stop racing the
+  // entry (the dispatcher still completes it, typically with a
+  // Cancelled error). Unknown ids are ignored: an early-stop racing the
   // completion is normal, not a protocol violation. Returns whether a
   // token was found.
   bool CancelRequest(uint64_t request_id);

@@ -21,30 +21,6 @@ constexpr int kMaxWaitMs = 200;
 
 }  // namespace
 
-void SearchDispatcher::DispatchShardSearch(
-    const std::shared_ptr<Connection>& conn, uint64_t request_id,
-    NetShardSearchRequest req) {
-  (void)req;
-  conn->CompleteRequest(
-      request_id,
-      EncodeErrorFrame(Status::FailedPrecondition(
-                           "shard search is not supported by this server"),
-                       request_id),
-      /*is_error=*/true, /*server_seconds=*/0.0);
-}
-
-void SearchDispatcher::DispatchMutate(const std::shared_ptr<Connection>& conn,
-                                      uint64_t request_id,
-                                      NetMutateRequest req) {
-  (void)req;
-  conn->CompleteRequest(
-      request_id,
-      EncodeErrorFrame(Status::FailedPrecondition(
-                           "mutations are not supported by this server"),
-                       request_id),
-      /*is_error=*/true, /*server_seconds=*/0.0);
-}
-
 EventLoop::EventLoop(SearchDispatcher* dispatcher,
                      NetServerCounters* counters, const ServerTuning& tuning)
     : dispatcher_(dispatcher), counters_(counters), tuning_(tuning) {}

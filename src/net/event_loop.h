@@ -35,7 +35,6 @@ struct NetServerCounters {
   std::atomic<int64_t> stats_requests{0};
   std::atomic<int64_t> trace_requests{0};
   // Scatter-gather shard exchanges (coordinator-facing side of a shard).
-  std::atomic<int64_t> shard_requests{0};
   std::atomic<int64_t> shard_partials_sent{0};
   std::atomic<int64_t> shard_stops{0};
   // Live mutation write path.
@@ -55,42 +54,29 @@ struct ServerTuning {
   double idle_timeout_seconds = 60.0;
 };
 
-// Implemented by S4Server: turns a decoded SearchRequest into service
-// work. Called on the loop thread owning `conn`; the implementation must
+// Implemented by S4Server: turns decoded requests into service work.
+// Called on the loop thread owning `conn`; the implementation must
 // deliver the eventual response by Post()ing back to that loop.
 class SearchDispatcher {
  public:
   virtual ~SearchDispatcher() = default;
+  // A search, plain or one slice of a scatter-gather exchange: the
+  // implementation streams kShardPartial frames at strategy batch
+  // boundaries when the request asks for them (partial_every > 0), then
+  // answers with one kSearchResponse (or kError).
   virtual void DispatchSearch(const std::shared_ptr<Connection>& conn,
                               uint64_t request_id, NetSearchRequest req) = 0;
-
-  // Scatter-gather shard exchange: like DispatchSearch, but the
-  // implementation streams kShardPartial frames at strategy batch
-  // boundaries before the final kShardDone. The default rejects the
-  // frame so plain dispatchers stay one-method.
-  virtual void DispatchShardSearch(const std::shared_ptr<Connection>& conn,
-                                   uint64_t request_id,
-                                   NetShardSearchRequest req);
-
   // Live mutation write path: applies the batch and answers with a
-  // kMutateResponse (or kError). The default rejects the frame so
-  // read-only dispatchers (and immutable deployments) stay unchanged.
+  // kMutateResponse (or kError).
   virtual void DispatchMutate(const std::shared_ptr<Connection>& conn,
-                              uint64_t request_id, NetMutateRequest req);
+                              uint64_t request_id, NetMutateRequest req) = 0;
 
   // Observability surface, answered synchronously on the loop thread
-  // (both are snapshot reads, not searches). Defaults keep test
-  // dispatchers one-method.
-  virtual std::string CollectStatsText() { return std::string(); }
-  virtual StatusOr<std::string> CollectTraceJson(uint64_t request_id) {
-    (void)request_id;
-    return Status::NotFound("tracing is not enabled on this server");
-  }
-  // Slow-query log dump ({"slow_log":[...]} JSON), answered
-  // synchronously like the stats/trace reads above.
-  virtual StatusOr<std::string> CollectSlowLogJson() {
-    return Status::NotFound("the slow-query log is not enabled");
-  }
+  // (snapshot reads, not searches).
+  virtual std::string CollectStatsText() = 0;
+  virtual StatusOr<std::string> CollectTraceJson(uint64_t request_id) = 0;
+  // Slow-query log dump ({"slow_log":[...]} JSON).
+  virtual StatusOr<std::string> CollectSlowLogJson() = 0;
 };
 
 // One epoll thread owning a set of connections. All connection I/O and

@@ -7,7 +7,7 @@
 
 namespace s4::net {
 
-// --- S4 wire protocol v4 ----------------------------------------------
+// --- S4 wire protocol v5 ----------------------------------------------
 //
 // Every frame on the wire is a fixed 20-byte header followed by a
 // type-specific payload, all integers little-endian:
@@ -34,13 +34,20 @@ inline constexpr uint32_t kMagic = 0x53345750u;  // "S4WP"
 // flag. v3 appended the profiling surface: a want_profile request flag,
 // an optional QueryProfile section on search responses, trace context
 // (trace_id, parent span, wall origin) on shard requests, an optional
-// trace segment on kShardDone, and the kSlowLogRequest/Response pair.
+// trace segment on the shard's final frame, and the kSlowLogRequest/
+// Response pair.
 // v4 replaced the search response's hand-picked counter subset with the
 // whole RunStats record, encoded field by field from the counter schema
 // (obs/run_stats.h), and cut the QueryProfile section down to the timing
-// envelope. Both sides must agree — the header version check rejects
-// older peers with FailedPrecondition before any payload is parsed.
-inline constexpr uint8_t kProtocolVersion = 4;
+// envelope. v5 folded the shard exchange into the plain search: the
+// separate shard request and shard final frames are gone; the search
+// request gained the slice, partial cadence and trace context, the
+// search response gained the optional trace segment, kShardPartial
+// carries the whole RunStats record, and the frame types from
+// kShardPartial on were renumbered to close the two freed slots. Both
+// sides must agree — the header version check rejects older peers with
+// FailedPrecondition before any payload is parsed.
+inline constexpr uint8_t kProtocolVersion = 5;
 inline constexpr size_t kHeaderBytes = 20;
 
 // Frames larger than this are rejected with InvalidArgument and the
@@ -58,26 +65,25 @@ enum class FrameType : uint8_t {
   kTraceRequest = 8,    // client -> server (u64 target request_id)
   kTraceResponse = 9,   // server -> client (Chrome-trace JSON)
   // Scatter-gather shard exchange (DESIGN.md "Distributed serving"): a
-  // coordinator sends one kShardSearchRequest, the shard streams zero or
-  // more kShardPartial frames (current top-k + remaining upper bound)
-  // and finishes with exactly one kShardDone (or kError). kShardStop
-  // flows coordinator -> shard mid-exchange once the merged k-th score
-  // proves the shard can no longer contribute.
-  kShardSearchRequest = 10,  // coordinator -> shard
-  kShardPartial = 11,        // shard -> coordinator (streamed)
-  kShardDone = 12,           // shard -> coordinator (final)
-  kShardStop = 13,           // coordinator -> shard (u64 target request_id)
+  // coordinator sends a kSearchRequest naming the shard's slice, the
+  // shard streams zero or more kShardPartial frames (current top-k +
+  // remaining upper bound) at the requested cadence and finishes with
+  // exactly one kSearchResponse (or kError). kShardStop flows
+  // coordinator -> shard mid-exchange once the merged k-th score proves
+  // the shard can no longer contribute.
+  kShardPartial = 10,  // shard -> coordinator (streamed)
+  kShardStop = 11,     // coordinator -> shard (u64 target request_id)
   // Live mutation write path (src/live/): a batch of insert/delete/
   // update operations applied in order; the response reports the applied
   // prefix and the epoch it was published as. Sent client -> server and
   // coordinator -> shard (the coordinator broadcasts writes to every
   // shard, which all hold the full database).
-  kMutateRequest = 14,   // client -> server
-  kMutateResponse = 15,  // server -> client
+  kMutateRequest = 12,   // client -> server
+  kMutateResponse = 13,  // server -> client
   // Slow-query log fetch: the server answers with the JSON dump of its
   // slowest-request ring (empty request payload, like kStatsRequest).
-  kSlowLogRequest = 16,   // client -> server (empty payload)
-  kSlowLogResponse = 17,  // server -> client (JSON text)
+  kSlowLogRequest = 14,   // client -> server (empty payload)
+  kSlowLogResponse = 15,  // server -> client (JSON text)
 };
 
 inline bool IsValidFrameType(uint8_t t) {
@@ -85,7 +91,7 @@ inline bool IsValidFrameType(uint8_t t) {
          t <= static_cast<uint8_t>(FrameType::kSlowLogResponse);
 }
 
-// Decode-side cap on NetShardSearchRequest::shard_count: far above any
+// Decode-side cap on NetSearchRequest::shard_count: far above any
 // deployment this code targets, small enough that a hostile frame cannot
 // claim an absurd topology.
 inline constexpr int32_t kMaxWireShards = 1024;
@@ -104,7 +110,7 @@ inline constexpr uint32_t kMaxWireMutationValues = 4096;
 inline constexpr double kMaxWireApproxEpsilon = 1e6;
 inline constexpr int64_t kMaxWireSampleBudget = int64_t{1} << 32;
 
-// Decode-side caps on the trace segment a shard returns on kShardDone:
+// Decode-side caps on the trace segment a search response carries:
 // events per segment and args per event. A real per-request trace is a
 // few hundred events; a hostile frame cannot force absurd allocations.
 inline constexpr uint32_t kMaxWireTraceEvents = 4096;

@@ -3,11 +3,9 @@
 #include <poll.h>
 #include <sys/socket.h>
 
-#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <utility>
 
 #include "common/string_util.h"
@@ -25,15 +23,17 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-NetSearchResponse BuildResponse(const SearchResult& result,
-                                double server_seconds, const Database& db,
-                                bool want_profile) {
-  NetSearchResponse resp;
-  resp.topk.reserve(result.topk.size());
-  for (const ScoredQuery& sq : result.topk) {
+// ScoredQuery -> NetTopkEntry for responses and partials. A null `db`
+// leaves the SQL empty: partials carry identity + scores only (all the
+// merge needs); the rendered SELECT rides the final response.
+std::vector<NetTopkEntry> ToWireTopk(const std::vector<ScoredQuery>& topk,
+                                     const Database* db) {
+  std::vector<NetTopkEntry> out;
+  out.reserve(topk.size());
+  for (const ScoredQuery& sq : topk) {
     NetTopkEntry e;
     e.signature = sq.query.signature();
-    e.sql = sq.query.ToSql(db);
+    if (db != nullptr) e.sql = sq.query.ToSql(*db);
     e.score = sq.score;
     e.upper_bound = sq.upper_bound;
     e.row_score = sq.row_score;
@@ -44,19 +44,23 @@ NetSearchResponse BuildResponse(const SearchResult& result,
     e.interval_confidence = sq.interval.confidence;
     e.support = sq.interval.support;
     e.sampled = sq.interval.sampled;
-    resp.topk.push_back(std::move(e));
+    out.push_back(std::move(e));
   }
-  resp.interrupted = result.interrupted;
-  resp.approximate = result.approximate;
-  resp.stats = result.stats;
-  resp.server_seconds = server_seconds;
-  if (want_profile) {
-    // The service stamped the timing envelope (total/queue wall) on the
-    // profile before completing.
-    resp.has_profile = true;
-    resp.profile = result.profile;
-  }
-  return resp;
+  return out;
+}
+
+// Reconstructs the frame_decode span of a request whose trace was
+// created after its frame was decoded: the span ends at `start`. It
+// lands before the trace epoch — export-time normalization shifts
+// everything so the earliest event is ts=0.
+void AddDecodeSpan(obs::Trace* trace,
+                   std::chrono::steady_clock::time_point start,
+                   double decode_seconds) {
+  trace->AddSpan(
+      "net", "frame_decode",
+      start - std::chrono::duration_cast<obs::Trace::Clock::duration>(
+                  std::chrono::duration<double>(decode_seconds)),
+      start);
 }
 
 const char* StrategyName(S4System::Strategy s) {
@@ -153,75 +157,37 @@ void S4Server::AcceptorMain() {
   }
 }
 
-void S4Server::DispatchSearch(const std::shared_ptr<Connection>& conn,
-                              uint64_t request_id, NetSearchRequest req) {
-  const auto start = std::chrono::steady_clock::now();
-  ServiceRequest sreq;
-  sreq.options = req.ToSearchOptions();
-  sreq.strategy = req.ToStrategy();
-  sreq.priority = req.priority;
-  sreq.deadline_seconds = req.deadline_seconds;
-  sreq.cells = std::move(req.cells);
-  if (options_.enable_tracing) {
-    sreq.trace = std::make_shared<obs::Trace>("search");
-    sreq.trace->set_request_id(request_id);
-    // The frame was decoded before the trace existed; reconstruct its
-    // span ending now. It lands before the trace epoch — export-time
-    // normalization shifts everything so the earliest event is ts=0.
-    sreq.trace->AddSpan(
-        "net", "frame_decode",
-        start - std::chrono::duration_cast<obs::Trace::Clock::duration>(
-                    std::chrono::duration<double>(req.decode_seconds)),
-        start);
-  }
-  const S4System::Strategy strategy = sreq.strategy;
-  const bool want_profile = req.want_profile;
-  std::shared_ptr<obs::Trace> trace = sreq.trace;
-
-  std::weak_ptr<Connection> wconn = conn;
-  EventLoop* loop = conn->loop();
+template <typename Result, typename Submit, typename Encode>
+void S4Server::Dispatch(const std::shared_ptr<Connection>& conn,
+                        uint64_t request_id,
+                        std::chrono::steady_clock::time_point start,
+                        std::shared_ptr<obs::Trace> trace, std::string label,
+                        Submit submit, Encode encode) {
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
     ++inflight_dispatches_;
   }
-  auto done = [this, wconn, loop, request_id, start, strategy, want_profile,
-               trace](StatusOr<SearchResult> result) {
+  std::weak_ptr<Connection> wconn = conn;
+  EventLoop* loop = conn->loop();
+  auto done = [this, wconn, loop, request_id, start, trace,
+               label = std::move(label),
+               encode = std::move(encode)](StatusOr<Result> result) {
     const double server_seconds = SecondsSince(start);
+    const bool is_error = !result.ok();
     std::string frame;
-    bool is_error = false;
+    std::string detail;
     {
       obs::SpanTimer encode_span(trace.get(), "net", "frame_encode");
-      if (result.ok()) {
-        frame = EncodeSearchResponseFrame(
-            BuildResponse(*result, server_seconds, service_->system().db(),
-                          want_profile),
-            request_id);
-      } else {
-        frame = EncodeErrorFrame(result.status(), request_id);
-        is_error = true;
-      }
+      frame = is_error ? EncodeErrorFrame(result.status(), request_id)
+                       : encode(*result, server_seconds,
+                                options_.verbose ? &detail : nullptr);
     }
     if (options_.verbose) {
-      if (result.ok()) {
-        const RunStats& s = result->stats;
-        const int64_t probes = s.cache.hits + s.cache.misses;
-        std::fprintf(
-            stderr,
-            "[net_server] request_id=%llu strategy=%s evaluated=%lld "
-            "cache_hit_rate=%.3f wall_seconds=%.6f\n",
-            static_cast<unsigned long long>(request_id),
-            StrategyName(strategy),
-            static_cast<long long>(s.queries_evaluated),
-            probes > 0 ? static_cast<double>(s.cache.hits) / probes : 0.0,
-            server_seconds);
-      } else {
-        std::fprintf(stderr,
-                     "[net_server] request_id=%llu strategy=%s error=%s "
-                     "wall_seconds=%.6f\n",
-                     static_cast<unsigned long long>(request_id),
-                     StrategyName(strategy),
-                     result.status().ToString().c_str(), server_seconds);
-      }
+      if (is_error) detail = "error=" + result.status().ToString();
+      std::fprintf(stderr, "[net_server] request_id=%llu %s %s "
+                   "wall_seconds=%.6f\n",
+                   static_cast<unsigned long long>(request_id), label.c_str(),
+                   detail.c_str(), server_seconds);
     }
     if (trace) StoreTrace(request_id, trace);
     // This runs on a service worker thread; only the owning loop may
@@ -234,20 +200,19 @@ void S4Server::DispatchSearch(const std::shared_ptr<Connection>& conn,
                            server_seconds);
       }
     });
-    {
-      // Notify under the lock: the moment the count hits zero, Stop()'s
-      // waiter may return and destroy the cv, so the broadcast must not
-      // outlive the critical section.
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_dispatches_;
-      inflight_cv_.notify_all();
-    }
+    // Notify under the lock: the moment the count hits zero, Stop()'s
+    // waiter may return and destroy the cv, so the broadcast must not
+    // outlive the critical section.
+    std::lock_guard<std::mutex> lock(inflight_mu_);
+    --inflight_dispatches_;
+    inflight_cv_.notify_all();
   };
-  auto stop = service_->SubmitAsync(std::move(sreq), std::move(done));
+  StatusOr<std::shared_ptr<StopToken>> stop = submit(std::move(done));
   if (!stop.ok()) {
-    // Rejected at admission (backpressure, validation, shutdown): the
-    // callback will never run. Answer right here on the loop thread —
-    // ResourceExhausted carries the retryable flag on the wire.
+    // Rejected at admission (backpressure, validation, immutable
+    // deployment, shutdown): the callback will never run. Answer right
+    // here on the loop thread — ResourceExhausted carries the retryable
+    // flag on the wire.
     {
       std::lock_guard<std::mutex> lock(inflight_mu_);
       --inflight_dispatches_;
@@ -261,150 +226,91 @@ void S4Server::DispatchSearch(const std::shared_ptr<Connection>& conn,
   conn->RegisterInflight(request_id, *stop);
 }
 
-void S4Server::DispatchShardSearch(const std::shared_ptr<Connection>& conn,
-                                   uint64_t request_id,
-                                   NetShardSearchRequest req) {
+void S4Server::DispatchSearch(const std::shared_ptr<Connection>& conn,
+                              uint64_t request_id, NetSearchRequest req) {
   const auto start = std::chrono::steady_clock::now();
   ServiceRequest sreq;
-  sreq.options = req.base.ToSearchOptions();
-  sreq.options.shard_count = req.shard_count;
-  sreq.options.shard_index = req.shard_index;
-  sreq.strategy = req.base.ToStrategy();
-  sreq.priority = req.base.priority;
-  sreq.deadline_seconds = req.base.deadline_seconds;
-  sreq.cells = std::move(req.base.cells);
+  sreq.options = req.ToSearchOptions();
+  sreq.strategy = req.ToStrategy();
+  sreq.priority = req.priority;
+  sreq.deadline_seconds = req.deadline_seconds;
+  sreq.cells = std::move(req.cells);
   // A coordinator asking for a stitched timeline (want_trace) gets a
   // per-request trace regardless of this server's own tracing flag —
-  // the segment rides back on kShardDone either way.
+  // the segment rides back on the response either way.
   const bool want_trace = req.want_trace;
   if (options_.enable_tracing || want_trace) {
-    sreq.trace = std::make_shared<obs::Trace>("shard_search");
+    sreq.trace = std::make_shared<obs::Trace>("search");
     sreq.trace->set_request_id(request_id);
     if (want_trace) sreq.trace->set_trace_id(req.trace_id);
-    sreq.trace->AddSpan(
-        "net", "frame_decode",
-        start - std::chrono::duration_cast<obs::Trace::Clock::duration>(
-                    std::chrono::duration<double>(req.base.decode_seconds)),
-        start);
+    AddDecodeSpan(sreq.trace.get(), start, req.decode_seconds);
   }
-  const bool want_profile = req.base.want_profile;
-  std::shared_ptr<obs::Trace> trace = sreq.trace;
-
-  std::weak_ptr<Connection> wconn = conn;
-  EventLoop* loop = conn->loop();
-
-  // Last remaining-upper-bound snapshot the strategy reported, shared
-  // between the progress sink (service worker thread) and the done
-  // callback. Starts at +inf: "nothing proven yet" is the only safe
-  // claim before the first snapshot.
-  struct ShardProgressState {
-    std::atomic<uint64_t> snapshots{0};
-    std::atomic<uint64_t> remaining_ub_bits{
-        std::bit_cast<uint64_t>(std::numeric_limits<double>::infinity())};
-  };
-  auto state = std::make_shared<ShardProgressState>();
   if (req.partial_every > 0) {
+    // Stream every partial_every-th strategy progress snapshot as a
+    // kShardPartial. The sink runs on the search thread; FIFO posting to
+    // the owning loop keeps partials ordered before the final response.
+    std::weak_ptr<Connection> wconn = conn;
+    EventLoop* loop = conn->loop();
     const uint32_t every = req.partial_every;
+    auto snapshots = std::make_shared<uint64_t>(0);
     sreq.options.progress = [this, wconn, loop, request_id, every,
-                             state](const SearchProgress& p) {
-      state->remaining_ub_bits.store(
-          std::bit_cast<uint64_t>(p.remaining_upper_bound),
-          std::memory_order_relaxed);
-      const uint64_t n =
-          state->snapshots.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (n % every != 0) return;
+                             snapshots](const SearchProgress& p) {
+      if (++*snapshots % every != 0) return;
       NetShardPartial partial;
+      partial.topk = ToWireTopk(p.topk, /*db=*/nullptr);
       partial.remaining_upper_bound = p.remaining_upper_bound;
-      partial.enumerated = p.enumerated;
-      partial.evaluated = p.evaluated;
-      partial.batches = p.batches;
-      partial.topk.reserve(p.topk.size());
-      for (const ScoredQuery& sq : p.topk) {
-        NetTopkEntry e;
-        e.signature = sq.query.signature();
-        // No SQL in partials: the merge needs identity + scores only;
-        // the rendered SELECT rides the final kShardDone.
-        e.score = sq.score;
-        e.upper_bound = sq.upper_bound;
-        e.row_score = sq.row_score;
-        e.column_score = sq.column_score;
-        e.approximate = sq.approximate;
-        e.interval_lo = sq.interval.lo;
-        e.interval_hi = sq.interval.hi;
-        e.interval_confidence = sq.interval.confidence;
-        e.support = sq.interval.support;
-        e.sampled = sq.interval.sampled;
-        partial.topk.push_back(std::move(e));
-      }
+      partial.stats = p.stats;
       counters_.shard_partials_sent.fetch_add(1, std::memory_order_relaxed);
-      std::string frame = EncodeShardPartialFrame(partial, request_id);
-      // Streamed from the search thread; FIFO posting to the owning loop
-      // keeps partials ordered before the final done frame.
-      loop->Post([wconn, frame = std::move(frame)]() mutable {
+      loop->Post([wconn, frame = EncodeShardPartialFrame(
+                             partial, request_id)]() mutable {
         if (auto c = wconn.lock(); c && !c->closed()) {
           c->SendFrame(std::move(frame));
         }
       });
     };
   }
-
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    ++inflight_dispatches_;
-  }
-  auto done = [this, wconn, loop, request_id, start, state, want_trace,
-               want_profile, trace](StatusOr<SearchResult> result) {
-    const double server_seconds = SecondsSince(start);
-    std::string frame;
-    bool is_error = false;
-    {
-      obs::SpanTimer encode_span(trace.get(), "net", "frame_encode");
-      if (result.ok()) {
-        NetShardDone done_msg;
-        done_msg.response = BuildResponse(
-            *result, server_seconds, service_->system().db(), want_profile);
-        done_msg.remaining_upper_bound = std::bit_cast<double>(
-            state->remaining_ub_bits.load(std::memory_order_relaxed));
-        if (want_trace && trace != nullptr) {
-          // Detach everything recorded so far (the encode span above is
-          // still open and stays local). The wire encoder enforces the
-          // segment caps; the coordinator re-checks them on decode.
-          done_msg.has_segment = true;
-          done_msg.segment = trace->ExportSegment();
+  const S4System::Strategy strategy = sreq.strategy;
+  const bool want_profile = req.want_profile;
+  std::shared_ptr<obs::Trace> trace = sreq.trace;
+  Dispatch<SearchResult>(
+      conn, request_id, start, trace,
+      options_.verbose ? StrFormat("strategy=%s", StrategyName(strategy))
+                       : std::string(),
+      [&](auto done) {
+        return service_->SubmitAsync(std::move(sreq), std::move(done));
+      },
+      [this, request_id, want_profile, want_trace, trace](
+          const SearchResult& result, double server_seconds,
+          std::string* detail) {
+        NetSearchResponse resp;
+        resp.topk = ToWireTopk(result.topk, &service_->system().db());
+        resp.interrupted = result.interrupted;
+        resp.approximate = result.approximate;
+        resp.stats = result.stats;
+        resp.server_seconds = server_seconds;
+        if (want_profile) {
+          // The service stamped the timing envelope (total/queue wall) on
+          // the profile before completing.
+          resp.has_profile = true;
+          resp.profile = result.profile;
         }
-        frame = EncodeShardDoneFrame(done_msg, request_id);
-      } else {
-        frame = EncodeErrorFrame(result.status(), request_id);
-        is_error = true;
-      }
-    }
-    if (trace) StoreTrace(request_id, trace);
-    loop->Post([wconn, request_id, frame = std::move(frame), is_error,
-                server_seconds]() mutable {
-      if (auto c = wconn.lock(); c && !c->closed()) {
-        c->CompleteRequest(request_id, std::move(frame), is_error,
-                           server_seconds);
-      }
-    });
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_dispatches_;
-      inflight_cv_.notify_all();
-    }
-  };
-  auto stop = service_->SubmitAsync(std::move(sreq), std::move(done));
-  if (!stop.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_dispatches_;
-      inflight_cv_.notify_all();
-    }
-    conn->CompleteRequest(request_id,
-                          EncodeErrorFrame(stop.status(), request_id),
-                          /*is_error=*/true, SecondsSince(start));
-    return;
-  }
-  conn->RegisterInflight(request_id, *stop);
+        if (want_trace) {
+          // Detach everything recorded so far (the encode span is still
+          // open and stays local). The wire encoder enforces the segment
+          // caps; the coordinator re-checks them on decode.
+          resp.has_segment = true;
+          resp.segment = trace->ExportSegment();
+        }
+        if (detail != nullptr) {
+          const RunStats& s = result.stats;
+          const int64_t probes = s.cache.hits + s.cache.misses;
+          *detail = StrFormat(
+              "evaluated=%lld cache_hit_rate=%.3f",
+              static_cast<long long>(s.queries_evaluated),
+              probes > 0 ? static_cast<double>(s.cache.hits) / probes : 0.0);
+        }
+        return EncodeSearchResponseFrame(resp, request_id);
+      });
 }
 
 void S4Server::DispatchMutate(const std::shared_ptr<Connection>& conn,
@@ -414,87 +320,30 @@ void S4Server::DispatchMutate(const std::shared_ptr<Connection>& conn,
   if (options_.enable_tracing) {
     trace = std::make_shared<obs::Trace>("mutate");
     trace->set_request_id(request_id);
-    trace->AddSpan(
-        "net", "frame_decode",
-        start - std::chrono::duration_cast<obs::Trace::Clock::duration>(
-                    std::chrono::duration<double>(req.decode_seconds)),
-        start);
+    AddDecodeSpan(trace.get(), start, req.decode_seconds);
   }
-
-  std::weak_ptr<Connection> wconn = conn;
-  EventLoop* loop = conn->loop();
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    ++inflight_dispatches_;
-  }
-  auto done = [this, wconn, loop, request_id, start,
-               trace](StatusOr<MutationResult> result) {
-    const double server_seconds = SecondsSince(start);
-    std::string frame;
-    bool is_error = false;
-    {
-      obs::SpanTimer encode_span(trace.get(), "net", "frame_encode");
-      if (result.ok()) {
+  Dispatch<MutationResult>(
+      conn, request_id, start, trace, "mutate",
+      [&](auto done) {
+        return service_->SubmitMutateAsync(std::move(req.mutations),
+                                           std::move(done), trace.get());
+      },
+      [request_id](const MutationResult& result, double server_seconds,
+                   std::string* detail) {
         NetMutateResponse resp;
-        resp.applied = result->applied;
-        resp.epoch = result->epoch;
-        resp.interrupted = result->interrupted;
-        resp.error = result->error;
-        resp.touched.assign(result->touched.begin(), result->touched.end());
+        resp.applied = result.applied;
+        resp.epoch = result.epoch;
+        resp.interrupted = result.interrupted;
+        resp.error = result.error;
+        resp.touched.assign(result.touched.begin(), result.touched.end());
         resp.server_seconds = server_seconds;
-        frame = EncodeMutateResponseFrame(resp, request_id);
-      } else {
-        frame = EncodeErrorFrame(result.status(), request_id);
-        is_error = true;
-      }
-    }
-    if (options_.verbose) {
-      if (result.ok()) {
-        std::fprintf(stderr,
-                     "[net_server] request_id=%llu mutate applied=%lld "
-                     "epoch=%llu wall_seconds=%.6f\n",
-                     static_cast<unsigned long long>(request_id),
-                     static_cast<long long>(result->applied),
-                     static_cast<unsigned long long>(result->epoch),
-                     server_seconds);
-      } else {
-        std::fprintf(stderr,
-                     "[net_server] request_id=%llu mutate error=%s "
-                     "wall_seconds=%.6f\n",
-                     static_cast<unsigned long long>(request_id),
-                     result.status().ToString().c_str(), server_seconds);
-      }
-    }
-    if (trace) StoreTrace(request_id, trace);
-    loop->Post([wconn, request_id, frame = std::move(frame), is_error,
-                server_seconds]() mutable {
-      if (auto c = wconn.lock(); c && !c->closed()) {
-        c->CompleteRequest(request_id, std::move(frame), is_error,
-                           server_seconds);
-      }
-    });
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_dispatches_;
-      inflight_cv_.notify_all();
-    }
-  };
-  auto stop = service_->SubmitMutateAsync(std::move(req.mutations),
-                                          std::move(done), trace.get());
-  if (!stop.ok()) {
-    // Rejected before scheduling (immutable deployment, shutdown): the
-    // callback will never run; answer on the loop thread.
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      --inflight_dispatches_;
-      inflight_cv_.notify_all();
-    }
-    conn->CompleteRequest(request_id,
-                          EncodeErrorFrame(stop.status(), request_id),
-                          /*is_error=*/true, SecondsSince(start));
-    return;
-  }
-  conn->RegisterInflight(request_id, *stop);
+        if (detail != nullptr) {
+          *detail = StrFormat("applied=%lld epoch=%llu",
+                              static_cast<long long>(result.applied),
+                              static_cast<unsigned long long>(result.epoch));
+        }
+        return EncodeMutateResponseFrame(resp, request_id);
+      });
 }
 
 void S4Server::StoreTrace(uint64_t request_id,
@@ -546,8 +395,6 @@ std::string S4Server::CollectStatsText() {
       .Set(c.stats_requests.load(std::memory_order_relaxed));
   reg.GetGauge("s4_net_trace_requests")
       .Set(c.trace_requests.load(std::memory_order_relaxed));
-  reg.GetGauge("s4_net_shard_requests")
-      .Set(c.shard_requests.load(std::memory_order_relaxed));
   reg.GetGauge("s4_net_shard_partials_sent")
       .Set(c.shard_partials_sent.load(std::memory_order_relaxed));
   reg.GetGauge("s4_net_shard_stops")

@@ -2,6 +2,7 @@
 #define S4_NET_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -73,16 +74,12 @@ class S4Server : public SearchDispatcher {
   // merged across event loops.
   LatencyHistogram::Snapshot latency() const;
 
-  // SearchDispatcher (called on a loop thread).
+  // SearchDispatcher (called on a loop thread). A request with
+  // partial_every > 0 also gets a strategy progress sink that streams
+  // kShardPartial frames (throttled to that cadence) back through the
+  // owning loop ahead of the final kSearchResponse.
   void DispatchSearch(const std::shared_ptr<Connection>& conn,
                       uint64_t request_id, NetSearchRequest req) override;
-  // Scatter-gather shard exchange: dispatches like DispatchSearch but
-  // installs a strategy progress sink that streams kShardPartial frames
-  // (throttled to the request's cadence) back through the owning loop,
-  // and answers with kShardDone instead of kSearchResponse.
-  void DispatchShardSearch(const std::shared_ptr<Connection>& conn,
-                           uint64_t request_id,
-                           NetShardSearchRequest req) override;
   // Live mutation write path: hands the batch to the service (which
   // rejects it on immutable deployments) and answers kMutateResponse.
   // Even a batch that stopped early (per-op failure, cancellation)
@@ -101,6 +98,17 @@ class S4Server : public SearchDispatcher {
 
  private:
   void AcceptorMain();
+  // The dispatch skeleton shared by searches and mutations: counts the
+  // dispatch in flight (Stop() drains them), hands `submit` a completion
+  // that encodes the answer on the worker thread — `encode` for a
+  // success, a kError frame otherwise — and posts it to the owning
+  // loop, and answers an admission rejection on the spot. `label`
+  // prefixes the verbose log line; `encode` fills its detail when asked.
+  template <typename Result, typename Submit, typename Encode>
+  void Dispatch(const std::shared_ptr<Connection>& conn, uint64_t request_id,
+                std::chrono::steady_clock::time_point start,
+                std::shared_ptr<obs::Trace> trace, std::string label,
+                Submit submit, Encode encode);
   void StoreTrace(uint64_t request_id, std::shared_ptr<obs::Trace> trace);
 
   S4Service* service_;

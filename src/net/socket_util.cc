@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/string_util.h"
@@ -182,6 +183,15 @@ Status RecvAll(int fd, char* data, size_t len, double timeout_seconds) {
     return Errno("recv");
   }
   return Status::OK();
+}
+
+double Remaining(std::chrono::steady_clock::time_point start,
+                 double budget_seconds) {
+  if (budget_seconds <= 0.0) return 0.0;
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return std::max(budget_seconds - elapsed, 1e-4);
 }
 
 }  // namespace s4::net

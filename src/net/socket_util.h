@@ -1,6 +1,7 @@
 #ifndef S4_NET_SOCKET_UTIL_H_
 #define S4_NET_SOCKET_UTIL_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -32,6 +33,13 @@ Status SetNoDelay(int fd);
 // by peer") as typed Status. Both tolerate EINTR and partial transfers.
 Status SendAll(int fd, const char* data, size_t len, double timeout_seconds);
 Status RecvAll(int fd, char* data, size_t len, double timeout_seconds);
+
+// What is left of a `budget_seconds` budget started at `start`, in the
+// timeout convention above: 0 budget = no deadline, and an exhausted
+// budget becomes an immediate timeout (1e-4 s) rather than falling
+// through to "no deadline".
+double Remaining(std::chrono::steady_clock::time_point start,
+                 double budget_seconds);
 
 }  // namespace s4::net
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 
 #include "common/string_util.h"
+#include "net/socket_util.h"
 
 namespace s4::net {
 
@@ -173,6 +175,23 @@ Status DecodeFrameHeader(std::string_view buf, FrameHeader* h) {
   return Status::OK();
 }
 
+Status RecvFrame(int fd, double timeout_seconds, FrameHeader* h,
+                 std::string* payload) {
+  const auto start = std::chrono::steady_clock::now();
+  char header[kHeaderBytes];
+  S4_RETURN_IF_ERROR(RecvAll(fd, header, kHeaderBytes, timeout_seconds));
+  S4_RETURN_IF_ERROR(
+      DecodeFrameHeader(std::string_view(header, kHeaderBytes), h));
+  if (h->payload_len > kDefaultMaxFrameBytes) {
+    return Status::Internal(StrFormat("peer sent an oversized frame (%u bytes)",
+                                      h->payload_len));
+  }
+  payload->resize(h->payload_len);
+  if (h->payload_len == 0) return Status::OK();
+  return RecvAll(fd, payload->data(), h->payload_len,
+                 Remaining(start, timeout_seconds));
+}
+
 // --- NetSearchRequest ---------------------------------------------------
 
 NetSearchRequest NetSearchRequest::From(
@@ -226,6 +245,8 @@ SearchOptions NetSearchRequest::ToSearchOptions() const {
   options.approx_confidence = approx_confidence;
   options.sample_budget = sample_budget;
   options.rng_seed = rng_seed;
+  options.shard_count = shard_count;
+  options.shard_index = shard_index;
   return options;
 }
 
@@ -240,43 +261,49 @@ S4System::Strategy NetSearchRequest::ToStrategy() const {
   }
 }
 
-namespace {
-
-// The search-request payload layout, shared verbatim by kSearchRequest
-// and the trailing section of kShardSearchRequest so the two cannot
-// drift apart.
-void AppendSearchRequestPayload(const NetSearchRequest& req, WireWriter* w) {
-  w->PutU32(static_cast<uint32_t>(req.cells.size()));
+std::string EncodeSearchRequestFrame(const NetSearchRequest& req,
+                                     uint64_t request_id) {
+  WireWriter w;
+  w.PutU32(static_cast<uint32_t>(req.cells.size()));
   const uint32_t cols =
       req.cells.empty() ? 0 : static_cast<uint32_t>(req.cells[0].size());
-  w->PutU32(cols);
+  w.PutU32(cols);
   for (const auto& row : req.cells) {
     for (uint32_t c = 0; c < cols; ++c) {
-      w->PutString(c < row.size() ? std::string_view(row[c])
-                                  : std::string_view());
+      w.PutString(c < row.size() ? std::string_view(row[c])
+                                 : std::string_view());
     }
   }
-  w->PutU8(req.strategy);
-  w->PutI32(req.priority);
-  w->PutDouble(req.deadline_seconds);
-  w->PutI32(req.k);
-  w->PutDouble(req.alpha);
-  w->PutDouble(req.epsilon);
-  w->PutU8(req.use_idf ? 1 : 0);
-  w->PutDouble(req.exact_match_bonus);
-  w->PutI32(req.spelling_edits);
-  w->PutU8(req.drop_zero_rows ? 1 : 0);
-  w->PutI32(req.num_threads);
-  w->PutI32(req.max_tree_size);
-  w->PutU64(req.cache_budget_bytes);
-  w->PutDouble(req.approx_epsilon);
-  w->PutDouble(req.approx_confidence);
-  w->PutI64(req.sample_budget);
-  w->PutU64(req.rng_seed);
-  w->PutU8(req.want_profile ? 1 : 0);
+  w.PutU8(req.strategy);
+  w.PutI32(req.priority);
+  w.PutDouble(req.deadline_seconds);
+  w.PutI32(req.k);
+  w.PutDouble(req.alpha);
+  w.PutDouble(req.epsilon);
+  w.PutU8(req.use_idf ? 1 : 0);
+  w.PutDouble(req.exact_match_bonus);
+  w.PutI32(req.spelling_edits);
+  w.PutU8(req.drop_zero_rows ? 1 : 0);
+  w.PutI32(req.num_threads);
+  w.PutI32(req.max_tree_size);
+  w.PutU64(req.cache_budget_bytes);
+  w.PutDouble(req.approx_epsilon);
+  w.PutDouble(req.approx_confidence);
+  w.PutI64(req.sample_budget);
+  w.PutU64(req.rng_seed);
+  w.PutU8(req.want_profile ? 1 : 0);
+  w.PutI32(req.shard_count);
+  w.PutI32(req.shard_index);
+  w.PutU32(req.partial_every);
+  w.PutU8(req.want_trace ? 1 : 0);
+  w.PutU64(req.trace_id);
+  w.PutU64(req.parent_span_id);
+  w.PutI64(req.origin_unix_us);
+  return FinishFrame(FrameType::kSearchRequest, request_id, w.Take());
 }
 
-Status ReadSearchRequestPayload(WireReader& r, NetSearchRequest* req) {
+Status DecodeSearchRequest(std::string_view payload, NetSearchRequest* req) {
+  WireReader r(payload);
   uint32_t rows, cols;
   if (!r.ReadU32(&rows) || !r.ReadU32(&cols)) return Truncated("request");
   if (rows > kMaxRows || cols > kMaxCols ||
@@ -291,7 +318,7 @@ Status ReadSearchRequestPayload(WireReader& r, NetSearchRequest* req) {
       if (!r.ReadString(&req->cells[t][c])) return Truncated("request cell");
     }
   }
-  uint8_t use_idf = 0, drop_zero = 0;
+  uint8_t use_idf = 0, drop_zero = 0, want_profile = 0, want_trace = 0;
   if (!r.ReadU8(&req->strategy) || !r.ReadI32(&req->priority) ||
       !r.ReadDouble(&req->deadline_seconds) || !r.ReadI32(&req->k) ||
       !r.ReadDouble(&req->alpha) || !r.ReadDouble(&req->epsilon) ||
@@ -301,12 +328,18 @@ Status ReadSearchRequestPayload(WireReader& r, NetSearchRequest* req) {
       !r.ReadU64(&req->cache_budget_bytes) ||
       !r.ReadDouble(&req->approx_epsilon) ||
       !r.ReadDouble(&req->approx_confidence) ||
-      !r.ReadI64(&req->sample_budget) || !r.ReadU64(&req->rng_seed)) {
+      !r.ReadI64(&req->sample_budget) || !r.ReadU64(&req->rng_seed) ||
+      !r.ReadU8(&want_profile)) {
     return Truncated("request options");
   }
-  uint8_t want_profile = 0;
-  if (!r.ReadU8(&want_profile)) return Truncated("request options");
+  if (!r.ReadI32(&req->shard_count) || !r.ReadI32(&req->shard_index) ||
+      !r.ReadU32(&req->partial_every) || !r.ReadU8(&want_trace) ||
+      !r.ReadU64(&req->trace_id) || !r.ReadU64(&req->parent_span_id) ||
+      !r.ReadI64(&req->origin_unix_us)) {
+    return Truncated("request exchange");
+  }
   req->want_profile = want_profile != 0;
+  req->want_trace = want_trace != 0;
   req->use_idf = use_idf != 0;
   req->drop_zero_rows = drop_zero != 0;
   if (req->strategy > kWireStrategyFastTopK) {
@@ -326,21 +359,19 @@ Status ReadSearchRequestPayload(WireReader& r, NetSearchRequest* req) {
   if (req->sample_budget < 1 || req->sample_budget > kMaxWireSampleBudget) {
     return Status::InvalidArgument("request sample_budget out of range");
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-std::string EncodeSearchRequestFrame(const NetSearchRequest& req,
-                                     uint64_t request_id) {
-  WireWriter w;
-  AppendSearchRequestPayload(req, &w);
-  return FinishFrame(FrameType::kSearchRequest, request_id, w.Take());
-}
-
-Status DecodeSearchRequest(std::string_view payload, NetSearchRequest* req) {
-  WireReader r(payload);
-  S4_RETURN_IF_ERROR(ReadSearchRequestPayload(r, req));
+  if (req->shard_count < 1 || req->shard_count > kMaxWireShards) {
+    return Status::InvalidArgument(
+        StrFormat("shard_count %d outside [1, %d]", req->shard_count,
+                  kMaxWireShards));
+  }
+  if (req->shard_index < 0 || req->shard_index >= req->shard_count) {
+    return Status::InvalidArgument(
+        StrFormat("shard_index %d outside [0, %d)", req->shard_index,
+                  req->shard_count));
+  }
+  if (want_trace > 1) {
+    return Status::InvalidArgument("request want_trace flag out of range");
+  }
   if (!r.Exhausted()) {
     return Status::InvalidArgument("trailing bytes after request payload");
   }
@@ -399,7 +430,8 @@ Status ReadTopkEntries(WireReader& r, std::vector<NetTopkEntry>* topk,
 
 // The RunStats section (v4): every counter-schema field in list order,
 // each in its declared type (obs/run_stats.h), so a new schema field
-// travels without a codec edit. Always present on search responses.
+// travels without a codec edit. Always present on search responses and
+// shard partials.
 void PutStat(WireWriter* w, int64_t v) { w->PutI64(v); }
 void PutStat(WireWriter* w, uint64_t v) { w->PutU64(v); }
 void PutStat(WireWriter* w, double v) { w->PutDouble(v); }
@@ -412,11 +444,11 @@ void AppendRunStats(const RunStats& stats, WireWriter* w) {
               stats);
 }
 
-Status ReadRunStats(WireReader& r, RunStats* stats) {
+Status ReadRunStats(WireReader& r, RunStats* stats, const char* what) {
   bool ok = true;
   ForEachStat([&](const StatField&, auto& v) { ok = ok && ReadStat(r, &v); },
               *stats);
-  return ok ? Status::OK() : Truncated("response stats");
+  return ok ? Status::OK() : Truncated(what);
 }
 
 // The QueryProfile section: the timing envelope. Appended to search
@@ -433,147 +465,10 @@ Status ReadProfile(WireReader& r, obs::QueryProfile* p) {
   return Status::OK();
 }
 
-// The search-response payload layout, shared by kSearchResponse and the
-// leading section of kShardDone.
-void AppendSearchResponsePayload(const NetSearchResponse& resp,
-                                 WireWriter* w) {
-  w->PutU8(resp.interrupted ? 1 : 0);
-  w->PutU8(resp.approximate ? 1 : 0);
-  AppendTopkEntries(resp.topk, w);
-  AppendRunStats(resp.stats, w);
-  w->PutDouble(resp.server_seconds);
-  w->PutU8(resp.has_profile ? 1 : 0);
-  if (resp.has_profile) AppendProfile(resp.profile, w);
-}
-
-Status ReadSearchResponsePayload(WireReader& r, NetSearchResponse* resp) {
-  uint8_t interrupted, approximate;
-  if (!r.ReadU8(&interrupted) || !r.ReadU8(&approximate)) {
-    return Truncated("response");
-  }
-  resp->interrupted = interrupted != 0;
-  resp->approximate = approximate != 0;
-  S4_RETURN_IF_ERROR(ReadTopkEntries(r, &resp->topk, "response entry"));
-  S4_RETURN_IF_ERROR(ReadRunStats(r, &resp->stats));
-  if (!r.ReadDouble(&resp->server_seconds)) {
-    return Truncated("response stats");
-  }
-  uint8_t has_profile = 0;
-  if (!r.ReadU8(&has_profile)) return Truncated("response stats");
-  if (has_profile > 1) {
-    return Status::InvalidArgument("response has_profile flag out of range");
-  }
-  resp->has_profile = has_profile != 0;
-  resp->profile = obs::QueryProfile{};
-  if (resp->has_profile) {
-    S4_RETURN_IF_ERROR(ReadProfile(r, &resp->profile));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-std::string EncodeSearchResponseFrame(const NetSearchResponse& resp,
-                                      uint64_t request_id) {
-  WireWriter w;
-  AppendSearchResponsePayload(resp, &w);
-  return FinishFrame(FrameType::kSearchResponse, request_id, w.Take());
-}
-
-Status DecodeSearchResponse(std::string_view payload,
-                            NetSearchResponse* resp) {
-  WireReader r(payload);
-  S4_RETURN_IF_ERROR(ReadSearchResponsePayload(r, resp));
-  if (!r.Exhausted()) {
-    return Status::InvalidArgument("trailing bytes after response payload");
-  }
-  return Status::OK();
-}
-
-// --- shard exchange -----------------------------------------------------
-
-std::string EncodeShardSearchRequestFrame(const NetShardSearchRequest& req,
-                                          uint64_t request_id) {
-  WireWriter w;
-  w.PutI32(req.shard_count);
-  w.PutI32(req.shard_index);
-  w.PutU32(req.partial_every);
-  w.PutU8(req.want_trace ? 1 : 0);
-  w.PutU64(req.trace_id);
-  w.PutU64(req.parent_span_id);
-  w.PutI64(req.origin_unix_us);
-  AppendSearchRequestPayload(req.base, &w);
-  return FinishFrame(FrameType::kShardSearchRequest, request_id, w.Take());
-}
-
-Status DecodeShardSearchRequest(std::string_view payload,
-                                NetShardSearchRequest* req) {
-  WireReader r(payload);
-  if (!r.ReadI32(&req->shard_count) || !r.ReadI32(&req->shard_index) ||
-      !r.ReadU32(&req->partial_every)) {
-    return Truncated("shard request");
-  }
-  if (req->shard_count < 1 || req->shard_count > kMaxWireShards) {
-    return Status::InvalidArgument(
-        StrFormat("shard_count %d outside [1, %d]", req->shard_count,
-                  kMaxWireShards));
-  }
-  if (req->shard_index < 0 || req->shard_index >= req->shard_count) {
-    return Status::InvalidArgument(
-        StrFormat("shard_index %d outside [0, %d)", req->shard_index,
-                  req->shard_count));
-  }
-  uint8_t want_trace = 0;
-  if (!r.ReadU8(&want_trace) || !r.ReadU64(&req->trace_id) ||
-      !r.ReadU64(&req->parent_span_id) || !r.ReadI64(&req->origin_unix_us)) {
-    return Truncated("shard request");
-  }
-  if (want_trace > 1) {
-    return Status::InvalidArgument(
-        "shard request want_trace flag out of range");
-  }
-  req->want_trace = want_trace != 0;
-  S4_RETURN_IF_ERROR(ReadSearchRequestPayload(r, &req->base));
-  if (!r.Exhausted()) {
-    return Status::InvalidArgument(
-        "trailing bytes after shard request payload");
-  }
-  return Status::OK();
-}
-
-std::string EncodeShardPartialFrame(const NetShardPartial& partial,
-                                    uint64_t request_id) {
-  WireWriter w;
-  AppendTopkEntries(partial.topk, &w);
-  w.PutDouble(partial.remaining_upper_bound);
-  w.PutI64(partial.enumerated);
-  w.PutI64(partial.evaluated);
-  w.PutI64(partial.batches);
-  return FinishFrame(FrameType::kShardPartial, request_id, w.Take());
-}
-
-Status DecodeShardPartial(std::string_view payload,
-                          NetShardPartial* partial) {
-  WireReader r(payload);
-  S4_RETURN_IF_ERROR(ReadTopkEntries(r, &partial->topk, "shard partial"));
-  if (!r.ReadDouble(&partial->remaining_upper_bound) ||
-      !r.ReadI64(&partial->enumerated) || !r.ReadI64(&partial->evaluated) ||
-      !r.ReadI64(&partial->batches)) {
-    return Truncated("shard partial");
-  }
-  if (!r.Exhausted()) {
-    return Status::InvalidArgument(
-        "trailing bytes after shard partial payload");
-  }
-  return Status::OK();
-}
-
-namespace {
-
-// The trace segment a shard ships back on kShardDone (v3). Bounded on
-// the encode side too: a shard with a pathologically chatty trace
-// truncates to the cap instead of emitting a frame its own peer must
-// reject.
+// The trace segment a server ships back when the request set
+// want_trace. Bounded on the encode side too: a server with a
+// pathologically chatty trace truncates to the cap instead of emitting a
+// frame its own peer must reject.
 void AppendTraceSegment(const obs::TraceSegment& seg, WireWriter* w) {
   w->PutI64(seg.origin_unix_us);
   w->PutU64(seg.trace_id);
@@ -639,35 +534,83 @@ Status ReadTraceSegment(WireReader& r, obs::TraceSegment* seg) {
 
 }  // namespace
 
-std::string EncodeShardDoneFrame(const NetShardDone& done,
-                                 uint64_t request_id) {
+std::string EncodeSearchResponseFrame(const NetSearchResponse& resp,
+                                      uint64_t request_id) {
   WireWriter w;
-  AppendSearchResponsePayload(done.response, &w);
-  w.PutDouble(done.remaining_upper_bound);
-  w.PutU8(done.has_segment ? 1 : 0);
-  if (done.has_segment) AppendTraceSegment(done.segment, &w);
-  return FinishFrame(FrameType::kShardDone, request_id, w.Take());
+  w.PutU8(resp.interrupted ? 1 : 0);
+  w.PutU8(resp.approximate ? 1 : 0);
+  AppendTopkEntries(resp.topk, &w);
+  AppendRunStats(resp.stats, &w);
+  w.PutDouble(resp.server_seconds);
+  w.PutU8(resp.has_profile ? 1 : 0);
+  if (resp.has_profile) AppendProfile(resp.profile, &w);
+  w.PutU8(resp.has_segment ? 1 : 0);
+  if (resp.has_segment) AppendTraceSegment(resp.segment, &w);
+  return FinishFrame(FrameType::kSearchResponse, request_id, w.Take());
 }
 
-Status DecodeShardDone(std::string_view payload, NetShardDone* done) {
+Status DecodeSearchResponse(std::string_view payload,
+                            NetSearchResponse* resp) {
   WireReader r(payload);
-  S4_RETURN_IF_ERROR(ReadSearchResponsePayload(r, &done->response));
-  if (!r.ReadDouble(&done->remaining_upper_bound)) {
-    return Truncated("shard done");
+  uint8_t interrupted, approximate;
+  if (!r.ReadU8(&interrupted) || !r.ReadU8(&approximate)) {
+    return Truncated("response");
+  }
+  resp->interrupted = interrupted != 0;
+  resp->approximate = approximate != 0;
+  S4_RETURN_IF_ERROR(ReadTopkEntries(r, &resp->topk, "response entry"));
+  S4_RETURN_IF_ERROR(ReadRunStats(r, &resp->stats, "response stats"));
+  if (!r.ReadDouble(&resp->server_seconds)) {
+    return Truncated("response stats");
+  }
+  uint8_t has_profile = 0;
+  if (!r.ReadU8(&has_profile)) return Truncated("response stats");
+  if (has_profile > 1) {
+    return Status::InvalidArgument("response has_profile flag out of range");
+  }
+  resp->has_profile = has_profile != 0;
+  resp->profile = obs::QueryProfile{};
+  if (resp->has_profile) {
+    S4_RETURN_IF_ERROR(ReadProfile(r, &resp->profile));
   }
   uint8_t has_segment = 0;
-  if (!r.ReadU8(&has_segment)) return Truncated("shard done");
+  if (!r.ReadU8(&has_segment)) return Truncated("response");
   if (has_segment > 1) {
-    return Status::InvalidArgument(
-        "shard done has_segment flag out of range");
+    return Status::InvalidArgument("response has_segment flag out of range");
   }
-  done->has_segment = has_segment != 0;
-  done->segment = obs::TraceSegment{};
-  if (done->has_segment) {
-    S4_RETURN_IF_ERROR(ReadTraceSegment(r, &done->segment));
+  resp->has_segment = has_segment != 0;
+  resp->segment = obs::TraceSegment{};
+  if (resp->has_segment) {
+    S4_RETURN_IF_ERROR(ReadTraceSegment(r, &resp->segment));
   }
   if (!r.Exhausted()) {
-    return Status::InvalidArgument("trailing bytes after shard done payload");
+    return Status::InvalidArgument("trailing bytes after response payload");
+  }
+  return Status::OK();
+}
+
+// --- shard exchange -----------------------------------------------------
+
+std::string EncodeShardPartialFrame(const NetShardPartial& partial,
+                                    uint64_t request_id) {
+  WireWriter w;
+  AppendTopkEntries(partial.topk, &w);
+  w.PutDouble(partial.remaining_upper_bound);
+  AppendRunStats(partial.stats, &w);
+  return FinishFrame(FrameType::kShardPartial, request_id, w.Take());
+}
+
+Status DecodeShardPartial(std::string_view payload,
+                          NetShardPartial* partial) {
+  WireReader r(payload);
+  S4_RETURN_IF_ERROR(ReadTopkEntries(r, &partial->topk, "shard partial"));
+  if (!r.ReadDouble(&partial->remaining_upper_bound)) {
+    return Truncated("shard partial");
+  }
+  S4_RETURN_IF_ERROR(ReadRunStats(r, &partial->stats, "shard partial"));
+  if (!r.Exhausted()) {
+    return Status::InvalidArgument(
+        "trailing bytes after shard partial payload");
   }
   return Status::OK();
 }

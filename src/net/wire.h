@@ -36,6 +36,13 @@ void AppendFrameHeader(const FrameHeader& h, std::string* out);
 // reply.
 Status DecodeFrameHeader(std::string_view buf, FrameHeader* h);
 
+// Blocking read of one whole frame from `fd` within `timeout_seconds`
+// (<= 0 = no deadline): the header is decoded and its payload_len
+// checked against kDefaultMaxFrameBytes before the payload is allocated
+// and read. The caller checks the request-id echo.
+Status RecvFrame(int fd, double timeout_seconds, FrameHeader* h,
+                 std::string* payload);
+
 // --- messages ----------------------------------------------------------
 
 // A search request as it travels on the wire: raw spreadsheet cells plus
@@ -70,6 +77,24 @@ struct NetSearchRequest {
   // v3: ask the server to attach its QueryProfile (timing envelope) to
   // the response.
   bool want_profile = false;
+  // v5 exchange fields (DESIGN.md "Distributed serving"). A plain search
+  // is slice 0 of 1 with no partials; a coordinator names the
+  // candidate-space slice this shard owns and a partial cadence: the
+  // server streams a kShardPartial every `partial_every` strategy
+  // progress snapshots before the final kSearchResponse (0 = none).
+  int32_t shard_count = 1;
+  int32_t shard_index = 0;
+  uint32_t partial_every = 0;
+  // Trace context (DESIGN.md "Observability"): when want_trace is set
+  // the server records a per-request trace tagged with the caller's
+  // trace id and returns the completed segment on the response, where
+  // the coordinator stitches it under `parent_span_id` (its scatter
+  // span) using `origin_unix_us` — the coordinator trace's wall-clock
+  // origin — to normalize the two machines' clocks.
+  bool want_trace = false;
+  uint64_t trace_id = 0;
+  uint64_t parent_span_id = 0;
+  int64_t origin_unix_us = 0;
 
   // NOT on the wire: seconds the server spent decoding this frame,
   // recorded by the connection so the dispatcher can attach a
@@ -128,6 +153,12 @@ struct NetSearchResponse {
   // the wire; when absent `profile` keeps its defaults).
   bool has_profile = false;
   obs::QueryProfile profile;
+
+  // The server's completed trace segment, present only when the request
+  // set want_trace (a second has-flag tail). Bounded at encode *and*
+  // decode by kMaxWireTraceEvents / kMaxWireTraceArgs.
+  bool has_segment = false;
+  obs::TraceSegment segment;
 };
 
 struct NetError {
@@ -140,29 +171,6 @@ struct NetError {
 
 // --- scatter-gather shard exchange -------------------------------------
 
-// A coordinator-to-shard search: the plain search request plus the
-// candidate-space slice this shard must own for the exchange and the
-// partial-streaming cadence.
-struct NetShardSearchRequest {
-  NetSearchRequest base;
-  int32_t shard_count = 1;
-  int32_t shard_index = 0;
-  // Stream a kShardPartial every this many strategy progress snapshots;
-  // 0 = no partials, just the final kShardDone.
-  uint32_t partial_every = 1;
-  // v3 trace context (DESIGN.md "Observability"): when want_trace is
-  // set the shard records a per-request trace tagged with the
-  // coordinator's trace id and returns the completed segment on
-  // kShardDone, where the coordinator stitches it under
-  // `parent_span_id` (its scatter span) using `origin_unix_us` — the
-  // coordinator trace's wall-clock origin — to normalize the two
-  // machines' clocks.
-  bool want_trace = false;
-  uint64_t trace_id = 0;
-  uint64_t parent_span_id = 0;
-  int64_t origin_unix_us = 0;
-};
-
 // One streamed snapshot of a shard's in-flight search: its current
 // top-k plus the upper bound of everything it has not yet evaluated
 // (non-increasing over the exchange, so a stale value is always a safe
@@ -170,25 +178,11 @@ struct NetShardSearchRequest {
 struct NetShardPartial {
   std::vector<NetTopkEntry> topk;
   double remaining_upper_bound = 0.0;
-  // Slice size, known from the first snapshot on; lets the coordinator
-  // report exact coverage even for shards it early-stops (whose final
-  // kShardDone never arrives).
-  int64_t enumerated = 0;
-  int64_t evaluated = 0;
-  int64_t batches = 0;
-};
-
-// The final frame of a shard exchange: the full response plus the
-// last-known remaining upper bound (meaningful when the shard was
-// early-stopped; -inf once the slice was exhausted).
-struct NetShardDone {
-  NetSearchResponse response;
-  double remaining_upper_bound = 0.0;
-  // v3: the shard's completed trace segment, present when the request
-  // carried want_trace. Bounded at encode *and* decode by
-  // kMaxWireTraceEvents / kMaxWireTraceArgs.
-  bool has_segment = false;
-  obs::TraceSegment segment;
+  // The run's counter record so far. queries_enumerated is the slice
+  // size, known from the first snapshot on, so the coordinator reports
+  // exact coverage even for shards it early-stops (whose final
+  // kSearchResponse never arrives).
+  RunStats stats;
 };
 
 // --- live mutation write path ------------------------------------------
@@ -237,12 +231,8 @@ std::string EncodeTraceResponseFrame(std::string_view json,
 // Shard exchange frames. The stop frame names the exchange to cancel in
 // its payload (like the trace target) so it can travel on the same
 // connection under its own header request_id.
-std::string EncodeShardSearchRequestFrame(const NetShardSearchRequest& req,
-                                          uint64_t request_id);
 std::string EncodeShardPartialFrame(const NetShardPartial& partial,
                                     uint64_t request_id);
-std::string EncodeShardDoneFrame(const NetShardDone& done,
-                                 uint64_t request_id);
 std::string EncodeShardStopFrame(uint64_t target_request_id,
                                  uint64_t request_id);
 std::string EncodeMutateRequestFrame(const NetMutateRequest& req,
@@ -263,10 +253,7 @@ Status DecodeSearchResponse(std::string_view payload,
 Status DecodeError(std::string_view payload, NetError* err);
 Status DecodeTraceRequest(std::string_view payload,
                           uint64_t* target_request_id);
-Status DecodeShardSearchRequest(std::string_view payload,
-                                NetShardSearchRequest* req);
 Status DecodeShardPartial(std::string_view payload, NetShardPartial* partial);
-Status DecodeShardDone(std::string_view payload, NetShardDone* done);
 Status DecodeShardStop(std::string_view payload,
                        uint64_t* target_request_id);
 Status DecodeMutateRequest(std::string_view payload, NetMutateRequest* req);

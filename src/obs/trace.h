@@ -14,11 +14,12 @@ namespace s4::obs {
 
 // One trace process's worth of completed events, detachable from the
 // Trace that recorded it: the unit a shard ships back to the
-// coordinator on kShardDone. `origin_unix_us` is the wall-clock time
-// (microseconds since the Unix epoch) of the recording Trace's steady
-// epoch, so the importer can normalize the two machines' clocks by
-// shifting every timestamp by the origin delta. Plain data — tests
-// fabricate segments with hand-picked origins to pin the stitch math.
+// coordinator on its final kSearchResponse. `origin_unix_us` is the
+// wall-clock time (microseconds since the Unix epoch) of the recording
+// Trace's steady epoch, so the importer can normalize the two machines'
+// clocks by shifting every timestamp by the origin delta. Plain data —
+// tests fabricate segments with hand-picked origins to pin the stitch
+// math.
 struct TraceSegment {
   struct Arg {
     std::string key;

@@ -172,12 +172,11 @@ struct SearchResult {
 struct SearchProgress {
   std::vector<ScoredQuery> topk;  // descending score
   double remaining_upper_bound = std::numeric_limits<double>::infinity();
-  // Candidates enumerated for this run (the slice size under sharding).
-  // Known from the first snapshot on — enumeration completes before any
-  // evaluation — so even an early-stopped shard reports its slice size.
-  int64_t enumerated = 0;
-  int64_t evaluated = 0;
-  int64_t batches = 0;
+  // The run's counters so far. queries_enumerated is the candidates
+  // enumerated for this run (the slice size under sharding), known from
+  // the first snapshot on — enumeration completes before any evaluation
+  // — so even an early-stopped shard reports its slice size.
+  RunStats stats;
 };
 
 // Enumeration + upper-bound computation, shared by all strategies (the

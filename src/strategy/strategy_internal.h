@@ -136,9 +136,8 @@ inline void EmitProgress(const SearchOptions& options,
   p.remaining_upper_bound =
       next_rank < rts.size() ? rts[next_rank].ub
                              : -std::numeric_limits<double>::infinity();
-  p.enumerated = static_cast<int64_t>(rts.size());
-  p.evaluated = stats.queries_evaluated;
-  p.batches = stats.batches;
+  p.stats = stats;
+  p.stats.queries_enumerated = static_cast<int64_t>(rts.size());
   for (auto& [score, sq] : topk.SnapshotSortedDescending()) {
     (void)score;
     p.topk.push_back(std::move(sq));

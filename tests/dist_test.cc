@@ -166,11 +166,9 @@ TEST(DistShardingTest, ShardOfSignatureIsStableAndInRange) {
 // Shard-aware admission: a service locked to slice 2-of-4 must reject a
 // request targeting any other slice with FailedPrecondition, loudly.
 TEST(DistShardingTest, MisroutedSliceRejectedAtAdmission) {
-  const S4System& system = *[] {
-    auto s = S4System::Create(s4::testing::TpchDb());
-    if (!s.ok()) abort();
-    return s->release();
-  }();
+  auto sys = S4System::Create(s4::testing::TpchDb());
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  const S4System& system = **sys;
   ServiceOptions sopts;
   sopts.shard_count = 4;
   sopts.shard_index = 2;

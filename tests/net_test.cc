@@ -58,20 +58,6 @@ SearchOptions BaseOptions() {
 using testing::CountOpenFds;
 using testing::WaitFor;
 
-// Reads one frame off a raw test socket.
-Status ReadFrame(int fd, FrameHeader* h, std::string* payload,
-                 double timeout = 10.0) {
-  char header[kHeaderBytes];
-  S4_RETURN_IF_ERROR(RecvAll(fd, header, kHeaderBytes, timeout));
-  S4_RETURN_IF_ERROR(
-      DecodeFrameHeader(std::string_view(header, kHeaderBytes), h));
-  payload->resize(h->payload_len);
-  if (h->payload_len > 0) {
-    S4_RETURN_IF_ERROR(RecvAll(fd, payload->data(), h->payload_len, timeout));
-  }
-  return Status::OK();
-}
-
 // True when the peer has closed: the next read yields EOF (mapped to
 // Internal "connection closed by peer") rather than data.
 bool PeerClosed(int fd) {
@@ -221,7 +207,7 @@ TEST(NetProtocolTest, MalformedPayloadGetsErrorConnectionSurvives) {
 
   FrameHeader reply;
   std::string payload;
-  ASSERT_TRUE(ReadFrame(fd->get(), &reply, &payload).ok());
+  ASSERT_TRUE(RecvFrame(fd->get(), 10.0, &reply, &payload).ok());
   EXPECT_EQ(reply.type, FrameType::kError);
   EXPECT_EQ(reply.request_id, 99u);
   NetError err;
@@ -232,9 +218,61 @@ TEST(NetProtocolTest, MalformedPayloadGetsErrorConnectionSurvives) {
   // The same connection still serves a ping.
   const std::string ping = EncodePingFrame(100);
   ASSERT_TRUE(SendAll(fd->get(), ping.data(), ping.size(), 5.0).ok());
-  ASSERT_TRUE(ReadFrame(fd->get(), &reply, &payload).ok());
+  ASSERT_TRUE(RecvFrame(fd->get(), 10.0, &reply, &payload).ok());
   EXPECT_EQ(reply.type, FrameType::kPong);
   EXPECT_EQ(reply.request_id, 100u);
+}
+
+// The one search exchange on the wire: a plain kSearchRequest is
+// answered by exactly one kSearchResponse and no partials; the same
+// request with a partial cadence streams kShardPartial frames and then
+// exactly one kSearchResponse, every frame under the request's id.
+TEST(NetProtocolTest, SearchStreamsPartialsOnlyWhenAsked) {
+  ServerHarness h;
+  auto fd = h.RawConnect();
+  ASSERT_TRUE(fd.ok()) << fd.status();
+  // Runs one exchange to its final response, then pings: the pong must
+  // be the very next frame, so nothing else was queued for the search.
+  auto exchange = [&](const NetSearchRequest& req, uint64_t id,
+                      int* partials) {
+    const std::string frame = EncodeSearchRequestFrame(req, id);
+    ASSERT_TRUE(SendAll(fd->get(), frame.data(), frame.size(), 5.0).ok());
+    *partials = 0;
+    FrameHeader reply;
+    std::string payload;
+    for (;;) {
+      ASSERT_TRUE(RecvFrame(fd->get(), 10.0, &reply, &payload).ok());
+      ASSERT_EQ(reply.request_id, id);
+      if (reply.type != FrameType::kShardPartial) break;
+      NetShardPartial partial;
+      ASSERT_TRUE(DecodeShardPartial(payload, &partial).ok());
+      // Slice coverage rides every partial.
+      EXPECT_GT(partial.stats.queries_enumerated, 0);
+      ++*partials;
+    }
+    ASSERT_EQ(reply.type, FrameType::kSearchResponse);
+    NetSearchResponse resp;
+    ASSERT_TRUE(DecodeSearchResponse(payload, &resp).ok());
+    EXPECT_FALSE(resp.topk.empty());
+    EXPECT_FALSE(resp.has_segment);
+    const std::string ping = EncodePingFrame(id + 1);
+    ASSERT_TRUE(SendAll(fd->get(), ping.data(), ping.size(), 5.0).ok());
+    ASSERT_TRUE(RecvFrame(fd->get(), 10.0, &reply, &payload).ok());
+    EXPECT_EQ(reply.type, FrameType::kPong);
+    EXPECT_EQ(reply.request_id, id + 1);
+  };
+
+  NetSearchRequest req = NetSearchRequest::From(
+      TestSheets()[0], BaseOptions(), S4System::Strategy::kFastTopK);
+  int partials = -1;
+  exchange(req, 7, &partials);
+  EXPECT_EQ(partials, 0);
+  EXPECT_EQ(h.server->counters().shard_partials_sent.load(), 0);
+
+  req.partial_every = 1;
+  exchange(req, 9, &partials);
+  EXPECT_GE(partials, 1);
+  EXPECT_EQ(h.server->counters().shard_partials_sent.load(), partials);
 }
 
 TEST(NetProtocolTest, GarbageStreamClosedWithoutResponse) {
@@ -257,7 +295,7 @@ TEST(NetProtocolTest, VersionMismatchGetsErrorThenClose) {
   ASSERT_TRUE(SendAll(fd->get(), frame.data(), frame.size(), 5.0).ok());
   FrameHeader reply;
   std::string payload;
-  ASSERT_TRUE(ReadFrame(fd->get(), &reply, &payload).ok());
+  ASSERT_TRUE(RecvFrame(fd->get(), 10.0, &reply, &payload).ok());
   EXPECT_EQ(reply.type, FrameType::kError);
   EXPECT_EQ(reply.request_id, 7u);
   NetError err;
@@ -281,7 +319,7 @@ TEST(NetProtocolTest, OversizedFrameGetsErrorThenClose) {
   ASSERT_TRUE(SendAll(fd->get(), frame.data(), frame.size(), 5.0).ok());
   FrameHeader reply;
   std::string payload;
-  ASSERT_TRUE(ReadFrame(fd->get(), &reply, &payload).ok());
+  ASSERT_TRUE(RecvFrame(fd->get(), 10.0, &reply, &payload).ok());
   EXPECT_EQ(reply.type, FrameType::kError);
   EXPECT_EQ(reply.request_id, 13u);
   NetError err;
@@ -346,7 +384,7 @@ TEST(NetProtocolTest, BackpressureMapsToRetryableResourceExhausted) {
   // The rejection comes back immediately while request 1 stays queued.
   FrameHeader reply;
   std::string payload;
-  ASSERT_TRUE(ReadFrame(fd->get(), &reply, &payload).ok());
+  ASSERT_TRUE(RecvFrame(fd->get(), 10.0, &reply, &payload).ok());
   EXPECT_EQ(reply.type, FrameType::kError);
   EXPECT_EQ(reply.request_id, 2u);
   NetError err;
@@ -356,7 +394,7 @@ TEST(NetProtocolTest, BackpressureMapsToRetryableResourceExhausted) {
 
   // Resume; request 1 completes normally on the same connection.
   h.service->Resume();
-  ASSERT_TRUE(ReadFrame(fd->get(), &reply, &payload).ok());
+  ASSERT_TRUE(RecvFrame(fd->get(), 10.0, &reply, &payload).ok());
   EXPECT_EQ(reply.type, FrameType::kSearchResponse);
   EXPECT_EQ(reply.request_id, 1u);
   NetSearchResponse resp;

@@ -89,8 +89,23 @@ NetSearchRequest RandomRequest(Rng& rng) {
   req.sample_budget = 1 + static_cast<int64_t>(rng.Uniform(1u << 20));
   req.rng_seed = rng.Next();
   req.want_profile = rng.Bernoulli(0.5);
+  // The exchange fields: a slice, a partial cadence and trace context
+  // (all decode-validated slices, so drawn from their legal ranges).
+  req.shard_count = 1 + static_cast<int32_t>(rng.Uniform(kMaxWireShards));
+  req.shard_index =
+      static_cast<int32_t>(rng.Uniform(static_cast<uint64_t>(req.shard_count)));
+  req.partial_every = static_cast<uint32_t>(rng.Uniform(16));
+  req.want_trace = rng.Bernoulli(0.5);
+  req.trace_id = rng.Next();
+  req.parent_span_id = rng.Next();
+  req.origin_unix_us = static_cast<int64_t>(rng.Next());
   return req;
 }
+
+// Bytes the v5 exchange fields append after want_profile: i32 count,
+// i32 index, u32 cadence, u8 want_trace, u64 trace id, u64 parent span,
+// i64 origin.
+constexpr size_t kExchangeTailBytes = 4 + 4 + 4 + 1 + 8 + 8 + 8;
 
 // Every counter-schema field drawn at random, each in its own type (the
 // generator derives from the schema, so a new field is covered without
@@ -165,21 +180,9 @@ NetSearchResponse RandomResponse(Rng& rng) {
   resp.server_seconds = RandomDouble(rng);
   resp.has_profile = rng.Bernoulli(0.5);
   if (resp.has_profile) resp.profile = RandomProfile(rng);
+  resp.has_segment = rng.Bernoulli(0.5);
+  if (resp.has_segment) resp.segment = RandomSegment(rng);
   return resp;
-}
-
-NetShardSearchRequest RandomShardRequest(Rng& rng) {
-  NetShardSearchRequest req;
-  req.base = RandomRequest(rng);
-  req.shard_count = 1 + static_cast<int32_t>(rng.Uniform(kMaxWireShards));
-  req.shard_index =
-      static_cast<int32_t>(rng.Uniform(static_cast<uint64_t>(req.shard_count)));
-  req.partial_every = static_cast<uint32_t>(rng.Uniform(16));
-  req.want_trace = rng.Bernoulli(0.5);
-  req.trace_id = rng.Next();
-  req.parent_span_id = rng.Next();
-  req.origin_unix_us = static_cast<int64_t>(rng.Next());
-  return req;
 }
 
 NetShardPartial RandomShardPartial(Rng& rng) {
@@ -196,19 +199,8 @@ NetShardPartial RandomShardPartial(Rng& rng) {
     p.topk.push_back(std::move(e));
   }
   p.remaining_upper_bound = RandomDouble(rng);
-  p.enumerated = static_cast<int64_t>(rng.Next());
-  p.evaluated = static_cast<int64_t>(rng.Next());
-  p.batches = static_cast<int64_t>(rng.Next());
+  p.stats = RandomStats(rng);
   return p;
-}
-
-NetShardDone RandomShardDone(Rng& rng) {
-  NetShardDone done;
-  done.response = RandomResponse(rng);
-  done.remaining_upper_bound = RandomDouble(rng);
-  done.has_segment = rng.Bernoulli(0.5);
-  if (done.has_segment) done.segment = RandomSegment(rng);
-  return done;
 }
 
 Value RandomValue(Rng& rng) {
@@ -319,11 +311,18 @@ TEST(WireCodecTest, RequestRoundTripProperty) {
     EXPECT_EQ(got.sample_budget, req.sample_budget);
     EXPECT_EQ(got.rng_seed, req.rng_seed);
     EXPECT_EQ(got.want_profile, req.want_profile);
+    EXPECT_EQ(got.shard_count, req.shard_count);
+    EXPECT_EQ(got.shard_index, req.shard_index);
+    EXPECT_EQ(got.partial_every, req.partial_every);
+    EXPECT_EQ(got.want_trace, req.want_trace);
+    EXPECT_EQ(got.trace_id, req.trace_id);
+    EXPECT_EQ(got.parent_span_id, req.parent_span_id);
+    EXPECT_EQ(got.origin_unix_us, req.origin_unix_us);
   }
 }
 
 // Every schema field, bitwise (doubles included), shared by the response
-// and shard-done round-trip suites.
+// and shard-partial round-trip suites.
 void ExpectStatsEq(const RunStats& got, const RunStats& want) {
   ForEachStat(
       [](const StatField& f, const auto& g, const auto& w) {
@@ -398,6 +397,8 @@ TEST(WireCodecTest, ResponseRoundTripProperty) {
     EXPECT_TRUE(BitEqual(got.server_seconds, resp.server_seconds));
     ASSERT_EQ(got.has_profile, resp.has_profile);
     if (resp.has_profile) ExpectProfileEq(got.profile, resp.profile);
+    ASSERT_EQ(got.has_segment, resp.has_segment);
+    if (resp.has_segment) ExpectSegmentEq(got.segment, resp.segment);
   }
 }
 
@@ -491,8 +492,9 @@ TEST(WireCodecTest, StatsAndTraceFrames) {
 
 TEST(WireCodecTest, ApproxKnobsHostileValuesRejected) {
   // The four approx knobs are the 32 payload bytes just before the
-  // trailing want_profile flag (f64 epsilon, f64 confidence, i64 budget,
-  // u64 seed); patch them in place on an otherwise-valid frame. Doubles
+  // want_profile flag and the exchange tail (f64 epsilon, f64
+  // confidence, i64 budget, u64 seed); patch them in place on an
+  // otherwise-valid frame. Doubles
   // travel as raw bits, so NaN and negative values encode fine and must
   // be caught by the decoder.
   auto reencode = [](double eps, double conf, int64_t budget) {
@@ -504,7 +506,7 @@ TEST(WireCodecTest, ApproxKnobsHostileValuesRejected) {
     w.PutDouble(conf);
     w.PutI64(budget);
     w.PutU64(req.rng_seed);
-    frame.replace(frame.size() - 33, 32, w.data());
+    frame.replace(frame.size() - kExchangeTailBytes - 33, 32, w.data());
     NetSearchRequest got;
     return DecodeSearchRequest(
         std::string_view(frame).substr(kHeaderBytes), &got);
@@ -546,10 +548,12 @@ TEST(WireCodecTest, TruncatedRequestEveryPrefixRejected) {
 TEST(WireCodecTest, TruncatedResponseEveryPrefixRejected) {
   Rng rng(9);
   NetSearchResponse resp = RandomResponse(rng);
-  // Force the optional profile tail on so truncation mid-profile is
-  // exercised too.
+  // Force both optional tails on so truncation mid-profile and inside
+  // the stitch payload is exercised regardless of what the seed draws.
   resp.has_profile = true;
   resp.profile = RandomProfile(rng);
+  resp.has_segment = true;
+  resp.segment = RandomSegment(rng);
   const std::string frame = EncodeSearchResponseFrame(resp, 6);
   const std::string_view payload = std::string_view(frame).substr(kHeaderBytes);
   for (size_t len = 0; len < payload.size(); ++len) {
@@ -557,41 +561,13 @@ TEST(WireCodecTest, TruncatedResponseEveryPrefixRejected) {
     EXPECT_FALSE(DecodeSearchResponse(payload.substr(0, len), &got).ok())
         << "prefix of " << len << " bytes decoded";
   }
+  std::string padded(payload);
+  padded.push_back('\0');
+  NetSearchResponse got;
+  EXPECT_FALSE(DecodeSearchResponse(padded, &got).ok());
 }
 
 // --- scatter-gather shard frames ---------------------------------------
-
-TEST(WireCodecTest, ShardRequestRoundTripProperty) {
-  Rng rng(51);
-  for (int i = 0; i < 300; ++i) {
-    const NetShardSearchRequest req = RandomShardRequest(rng);
-    const uint64_t id = rng.Next();
-    const std::string frame = EncodeShardSearchRequestFrame(req, id);
-    FrameHeader h;
-    ASSERT_TRUE(DecodeFrameHeader(frame, &h).ok());
-    EXPECT_EQ(h.type, FrameType::kShardSearchRequest);
-    EXPECT_EQ(h.request_id, id);
-    NetShardSearchRequest got;
-    const Status st = DecodeShardSearchRequest(
-        std::string_view(frame).substr(kHeaderBytes), &got);
-    ASSERT_TRUE(st.ok()) << st;
-    EXPECT_EQ(got.shard_count, req.shard_count);
-    EXPECT_EQ(got.shard_index, req.shard_index);
-    EXPECT_EQ(got.partial_every, req.partial_every);
-    EXPECT_EQ(got.want_trace, req.want_trace);
-    EXPECT_EQ(got.trace_id, req.trace_id);
-    EXPECT_EQ(got.parent_span_id, req.parent_span_id);
-    EXPECT_EQ(got.origin_unix_us, req.origin_unix_us);
-    EXPECT_EQ(got.base.want_profile, req.base.want_profile);
-    EXPECT_EQ(got.base.cells, req.base.cells);
-    EXPECT_EQ(got.base.strategy, req.base.strategy);
-    EXPECT_EQ(got.base.k, req.base.k);
-    EXPECT_TRUE(BitEqual(got.base.deadline_seconds,
-                         req.base.deadline_seconds));
-    EXPECT_TRUE(BitEqual(got.base.alpha, req.base.alpha));
-    EXPECT_TRUE(BitEqual(got.base.epsilon, req.base.epsilon));
-  }
-}
 
 TEST(WireCodecTest, ShardPartialRoundTripProperty) {
   Rng rng(52);
@@ -613,41 +589,7 @@ TEST(WireCodecTest, ShardPartialRoundTripProperty) {
     }
     EXPECT_TRUE(
         BitEqual(got.remaining_upper_bound, p.remaining_upper_bound));
-    EXPECT_EQ(got.enumerated, p.enumerated);
-    EXPECT_EQ(got.evaluated, p.evaluated);
-    EXPECT_EQ(got.batches, p.batches);
-  }
-}
-
-TEST(WireCodecTest, ShardDoneRoundTripProperty) {
-  Rng rng(53);
-  for (int i = 0; i < 300; ++i) {
-    const NetShardDone done = RandomShardDone(rng);
-    const std::string frame = EncodeShardDoneFrame(done, 4);
-    FrameHeader h;
-    ASSERT_TRUE(DecodeFrameHeader(frame, &h).ok());
-    EXPECT_EQ(h.type, FrameType::kShardDone);
-    NetShardDone got;
-    const Status st =
-        DecodeShardDone(std::string_view(frame).substr(kHeaderBytes), &got);
-    ASSERT_TRUE(st.ok()) << st;
-    ASSERT_EQ(got.response.topk.size(), done.response.topk.size());
-    for (size_t j = 0; j < done.response.topk.size(); ++j) {
-      EXPECT_EQ(got.response.topk[j].signature,
-                done.response.topk[j].signature);
-      EXPECT_TRUE(
-          BitEqual(got.response.topk[j].score, done.response.topk[j].score));
-    }
-    EXPECT_EQ(got.response.interrupted, done.response.interrupted);
-    ExpectStatsEq(got.response.stats, done.response.stats);
-    ASSERT_EQ(got.response.has_profile, done.response.has_profile);
-    if (done.response.has_profile) {
-      ExpectProfileEq(got.response.profile, done.response.profile);
-    }
-    EXPECT_TRUE(
-        BitEqual(got.remaining_upper_bound, done.remaining_upper_bound));
-    ASSERT_EQ(got.has_segment, done.has_segment);
-    if (done.has_segment) ExpectSegmentEq(got.segment, done.segment);
+    ExpectStatsEq(got.stats, p.stats);
   }
 }
 
@@ -668,16 +610,16 @@ TEST(WireCodecTest, ShardStopRoundTrip) {
 
 TEST(WireCodecTest, ShardRequestBadSliceRejected) {
   auto reencode = [](int32_t count, int32_t index) {
-    NetShardSearchRequest req;
-    req.shard_count = 1;  // encode with a valid slice, then patch bytes
-    req.shard_index = 0;
-    std::string frame = EncodeShardSearchRequestFrame(req, 1);
-    // Payload layout: i32 shard_count, i32 shard_index, ...
-    memcpy(frame.data() + kHeaderBytes, &count, sizeof(count));
-    memcpy(frame.data() + kHeaderBytes + 4, &index, sizeof(index));
-    NetShardSearchRequest got;
-    return DecodeShardSearchRequest(
-        std::string_view(frame).substr(kHeaderBytes), &got);
+    NetSearchRequest req;
+    req.cells = {{"The Matrix"}};
+    std::string frame = EncodeSearchRequestFrame(req, 1);
+    // The slice opens the exchange tail: i32 shard_count, i32 shard_index.
+    const size_t at = frame.size() - kExchangeTailBytes;
+    memcpy(frame.data() + at, &count, sizeof(count));
+    memcpy(frame.data() + at + 4, &index, sizeof(index));
+    NetSearchRequest got;
+    return DecodeSearchRequest(std::string_view(frame).substr(kHeaderBytes),
+                               &got);
   };
   EXPECT_FALSE(reencode(0, 0).ok());                  // no shards
   EXPECT_FALSE(reencode(-4, 0).ok());                 // negative count
@@ -685,80 +627,46 @@ TEST(WireCodecTest, ShardRequestBadSliceRejected) {
   EXPECT_FALSE(reencode(4, 4).ok());                  // index out of range
   EXPECT_FALSE(reencode(4, -1).ok());                 // negative index
   EXPECT_TRUE(reencode(4, 3).ok());
+  EXPECT_TRUE(reencode(1, 0).ok());                   // the plain search
+
+  // want_trace must be a strict boolean (the byte after the u32 cadence).
+  NetSearchRequest req;
+  std::string frame = EncodeSearchRequestFrame(req, 2);
+  frame[frame.size() - kExchangeTailBytes + 12] = 2;
+  NetSearchRequest got;
+  EXPECT_FALSE(
+      DecodeSearchRequest(std::string_view(frame).substr(kHeaderBytes), &got)
+          .ok());
 }
 
 TEST(WireCodecTest, TruncatedShardFramesEveryPrefixRejected) {
   Rng rng(57);
-  // Force the optional trace segment on so truncation inside the stitch
-  // payload is exercised regardless of what the seed draws.
-  NetShardDone done = RandomShardDone(rng);
-  done.has_segment = true;
-  done.segment = RandomSegment(rng);
   const std::string frames[] = {
-      EncodeShardSearchRequestFrame(RandomShardRequest(rng), 1),
       EncodeShardPartialFrame(RandomShardPartial(rng), 2),
-      EncodeShardDoneFrame(done, 3),
       EncodeShardStopFrame(77, 4),
   };
   for (const std::string& frame : frames) {
     FrameHeader h;
     ASSERT_TRUE(DecodeFrameHeader(frame, &h).ok());
+    auto decode = [&h](std::string_view payload) {
+      if (h.type == FrameType::kShardPartial) {
+        NetShardPartial got;
+        return DecodeShardPartial(payload, &got);
+      }
+      uint64_t got = 0;
+      return DecodeShardStop(payload, &got);
+    };
     const std::string_view payload =
         std::string_view(frame).substr(kHeaderBytes);
     for (size_t len = 0; len < payload.size(); ++len) {
-      const std::string_view prefix = payload.substr(0, len);
-      switch (h.type) {
-        case FrameType::kShardSearchRequest: {
-          NetShardSearchRequest got;
-          EXPECT_FALSE(DecodeShardSearchRequest(prefix, &got).ok())
-              << "prefix of " << len << " bytes decoded";
-          break;
-        }
-        case FrameType::kShardPartial: {
-          NetShardPartial got;
-          EXPECT_FALSE(DecodeShardPartial(prefix, &got).ok())
-              << "prefix of " << len << " bytes decoded";
-          break;
-        }
-        case FrameType::kShardDone: {
-          NetShardDone got;
-          EXPECT_FALSE(DecodeShardDone(prefix, &got).ok())
-              << "prefix of " << len << " bytes decoded";
-          break;
-        }
-        default: {
-          uint64_t got = 0;
-          EXPECT_FALSE(DecodeShardStop(prefix, &got).ok())
-              << "prefix of " << len << " bytes decoded";
-          break;
-        }
-      }
+      EXPECT_FALSE(decode(payload.substr(0, len)).ok())
+          << "prefix of " << len << " bytes decoded";
     }
-    // Trailing garbage is rejected too: no frame has an optional tail.
+    // Trailing garbage is rejected too: neither frame has an optional
+    // tail.
     std::string padded(payload);
     padded.push_back('\0');
-    switch (h.type) {
-      case FrameType::kShardSearchRequest: {
-        NetShardSearchRequest got;
-        EXPECT_FALSE(DecodeShardSearchRequest(padded, &got).ok());
-        break;
-      }
-      case FrameType::kShardPartial: {
-        NetShardPartial got;
-        EXPECT_FALSE(DecodeShardPartial(padded, &got).ok());
-        break;
-      }
-      case FrameType::kShardDone: {
-        NetShardDone got;
-        EXPECT_FALSE(DecodeShardDone(padded, &got).ok());
-        break;
-      }
-      default: {
-        uint64_t got = 0;
-        EXPECT_FALSE(DecodeShardStop(padded, &got).ok());
-        break;
-      }
-    }
+    EXPECT_FALSE(decode(padded).ok());
   }
 }
 
@@ -950,11 +858,11 @@ TEST(WireCodecTest, SlowLogFrames) {
 // --- hostile profile / trace-segment sections ---------------------------
 
 TEST(WireCodecTest, ProfileHostileFieldsRejected) {
-  // has_profile must be a strict boolean: the flag byte is the last
-  // payload byte when no profile follows.
+  // has_profile must be a strict boolean: the flag byte is the last but
+  // one payload byte when neither optional tail follows.
   NetSearchResponse resp;
   std::string frame = EncodeSearchResponseFrame(resp, 1);
-  frame.back() = 2;
+  frame[frame.size() - 2] = 2;
   NetSearchResponse got;
   const Status st = DecodeSearchResponse(
       std::string_view(frame).substr(kHeaderBytes), &got);
@@ -966,57 +874,57 @@ TEST(WireCodecTest, SegmentHostileFieldsRejected) {
   {
     // has_segment must be a strict boolean (last payload byte when the
     // segment is absent).
-    NetShardDone done;
-    std::string frame = EncodeShardDoneFrame(done, 1);
+    NetSearchResponse resp;
+    std::string frame = EncodeSearchResponseFrame(resp, 1);
     frame.back() = 2;
-    NetShardDone got;
+    NetSearchResponse got;
     EXPECT_FALSE(
-        DecodeShardDone(std::string_view(frame).substr(kHeaderBytes), &got)
+        DecodeSearchResponse(std::string_view(frame).substr(kHeaderBytes), &got)
             .ok());
   }
   {
     // Event count above the cap: the u32 count is the last 4 payload
     // bytes when the segment holds no events.
-    NetShardDone done;
-    done.has_segment = true;
-    std::string frame = EncodeShardDoneFrame(done, 2);
+    NetSearchResponse resp;
+    resp.has_segment = true;
+    std::string frame = EncodeSearchResponseFrame(resp, 2);
     const uint32_t hostile = kMaxWireTraceEvents + 1;
     memcpy(frame.data() + frame.size() - 4, &hostile, sizeof(hostile));
-    NetShardDone got;
+    NetSearchResponse got;
     EXPECT_FALSE(
-        DecodeShardDone(std::string_view(frame).substr(kHeaderBytes), &got)
+        DecodeSearchResponse(std::string_view(frame).substr(kHeaderBytes), &got)
             .ok());
   }
   {
     // Arg count above the cap: the u32 nargs is the last 4 payload bytes
     // when the final event carries no args.
-    NetShardDone done;
-    done.has_segment = true;
+    NetSearchResponse resp;
+    resp.has_segment = true;
     obs::TraceSegment::Event e;
     e.category = "net";
     e.name = "frame_decode";
-    done.segment.events.push_back(e);
-    std::string frame = EncodeShardDoneFrame(done, 3);
+    resp.segment.events.push_back(e);
+    std::string frame = EncodeSearchResponseFrame(resp, 3);
     const uint32_t hostile = kMaxWireTraceArgs + 1;
     memcpy(frame.data() + frame.size() - 4, &hostile, sizeof(hostile));
-    NetShardDone got;
+    NetSearchResponse got;
     EXPECT_FALSE(
-        DecodeShardDone(std::string_view(frame).substr(kHeaderBytes), &got)
+        DecodeSearchResponse(std::string_view(frame).substr(kHeaderBytes), &got)
             .ok());
   }
   {
     // Encoders truncate instead of emitting over-cap counts: a segment
     // with too many events round-trips to the cap, not a decode error.
-    NetShardDone done;
-    done.has_segment = true;
+    NetSearchResponse resp;
+    resp.has_segment = true;
     obs::TraceSegment::Event e;
     e.category = "net";
     e.name = "x";
-    done.segment.events.assign(kMaxWireTraceEvents + 10, e);
-    const std::string frame = EncodeShardDoneFrame(done, 4);
-    NetShardDone got;
+    resp.segment.events.assign(kMaxWireTraceEvents + 10, e);
+    const std::string frame = EncodeSearchResponseFrame(resp, 4);
+    NetSearchResponse got;
     ASSERT_TRUE(
-        DecodeShardDone(std::string_view(frame).substr(kHeaderBytes), &got)
+        DecodeSearchResponse(std::string_view(frame).substr(kHeaderBytes), &got)
             .ok());
     EXPECT_EQ(got.segment.events.size(), kMaxWireTraceEvents);
   }
@@ -1065,9 +973,10 @@ TEST(WireCodecTest, VersionMismatchKeepsRequestId) {
 }
 
 TEST(WireCodecTest, UnknownFrameTypeRejected) {
-  // 18 is the first unassigned type now that the slow-log frames (16-17)
-  // are part of the protocol.
-  for (uint8_t type : {uint8_t{0}, uint8_t{18}, uint8_t{255}}) {
+  // v5 retired two frame types and closed the gap, so 16 and 17 (the old
+  // slow-log numbers) name no frame any more; 16 is the first unassigned
+  // type.
+  for (uint8_t type : {uint8_t{0}, uint8_t{16}, uint8_t{17}, uint8_t{255}}) {
     std::string buf;
     AppendFrameHeader(FrameHeader{}, &buf);
     buf[5] = static_cast<char>(type);
@@ -1120,12 +1029,8 @@ TEST(WireFuzzTest, DecodersSurvivePureNoise) {
     (void)DecodeSearchResponse(noise, &resp);
     NetError err;
     (void)DecodeError(noise, &err);
-    NetShardSearchRequest sreq;
-    (void)DecodeShardSearchRequest(noise, &sreq);
     NetShardPartial partial;
     (void)DecodeShardPartial(noise, &partial);
-    NetShardDone done;
-    (void)DecodeShardDone(noise, &done);
     uint64_t target;
     (void)DecodeShardStop(noise, &target);
     NetMutateRequest mreq;
@@ -1157,12 +1062,8 @@ TEST(WireFuzzTest, DecodersSurviveValidHeaderRandomPayload) {
     (void)DecodeSearchResponse(body, &resp);
     NetError err;
     (void)DecodeError(body, &err);
-    NetShardSearchRequest sreq;
-    (void)DecodeShardSearchRequest(body, &sreq);
     NetShardPartial partial;
     (void)DecodeShardPartial(body, &partial);
-    NetShardDone done;
-    (void)DecodeShardDone(body, &done);
     uint64_t target;
     (void)DecodeShardStop(body, &target);
     NetMutateRequest mreq;
@@ -1177,7 +1078,7 @@ TEST(WireFuzzTest, DecodersSurviveBitFlippedValidFrames) {
   Rng rng(0xcafe);
   for (int i = 0; i < 700; ++i) {
     std::string frame;
-    switch (i % 7) {
+    switch (i % 5) {
       case 0:
         frame = EncodeSearchRequestFrame(RandomRequest(rng), rng.Next());
         break;
@@ -1185,21 +1086,14 @@ TEST(WireFuzzTest, DecodersSurviveBitFlippedValidFrames) {
         frame = EncodeSearchResponseFrame(RandomResponse(rng), rng.Next());
         break;
       case 2:
-        frame =
-            EncodeShardSearchRequestFrame(RandomShardRequest(rng), rng.Next());
-        break;
-      case 3:
         frame = EncodeShardPartialFrame(RandomShardPartial(rng), rng.Next());
         break;
-      case 4:
+      case 3:
         frame = EncodeMutateRequestFrame(RandomMutateRequest(rng), rng.Next());
         break;
-      case 5:
+      default:
         frame =
             EncodeMutateResponseFrame(RandomMutateResponse(rng), rng.Next());
-        break;
-      default:
-        frame = EncodeShardDoneFrame(RandomShardDone(rng), rng.Next());
         break;
     }
     const int flips = 1 + static_cast<int>(rng.Uniform(8));
@@ -1216,12 +1110,8 @@ TEST(WireFuzzTest, DecodersSurviveBitFlippedValidFrames) {
     (void)DecodeSearchResponse(body, &resp);
     NetError err;
     (void)DecodeError(body, &err);
-    NetShardSearchRequest sreq;
-    (void)DecodeShardSearchRequest(body, &sreq);
     NetShardPartial partial;
     (void)DecodeShardPartial(body, &partial);
-    NetShardDone done;
-    (void)DecodeShardDone(body, &done);
     NetMutateRequest mreq;
     (void)DecodeMutateRequest(body, &mreq);
     NetMutateResponse mresp;

@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
     ServiceRequest req;
     req.cells = requests[static_cast<size_t>(t) % requests.size()];
     req.options = search_options;
-    req.deadline_seconds = 1e-6;
+    req.options.deadline_seconds = 1e-6;
     auto result = service.Search(std::move(req));
     if (!result.ok() &&
         result.status().code() == StatusCode::kDeadlineExceeded) {

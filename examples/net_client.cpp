@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
   bool ping_only = false;
   bool want_profile = false;
   bool slow_log_only = false;
-  double deadline_seconds = 0.0;
   const char* trace_out = nullptr;
   std::vector<Mutation> mutations;
   std::vector<std::vector<std::string>> cells(1);
@@ -102,7 +101,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
       options.sample_budget = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--deadline") == 0 && i + 1 < argc) {
-      deadline_seconds = std::atof(argv[++i]);
+      options.deadline_seconds = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (std::strcmp(argv[i], "--insert") == 0 && i + 1 < argc) {
@@ -206,8 +205,7 @@ int main(int argc, char** argv) {
 
   uint64_t request_id = 0;
   net::NetSearchRequest request = net::NetSearchRequest::From(
-      cells, options, S4System::Strategy::kFastTopK,
-      /*priority=*/0, deadline_seconds);
+      cells, options, S4System::Strategy::kFastTopK);
   request.want_profile = want_profile;
   auto result = client.Search(request, &request_id);
   if (!result.ok()) {
@@ -228,8 +226,8 @@ int main(int argc, char** argv) {
   for (const net::NetTopkEntry& e : result->topk) {
     if (e.approximate) {
       std::printf("%2d. score=%.4f in [%.4f, %.4f] @ %.0f%% conf\n    %s\n",
-                  rank++, e.score, e.interval_lo, e.interval_hi,
-                  1e2 * e.interval_confidence, e.sql.c_str());
+                  rank++, e.score, e.interval.lo, e.interval.hi,
+                  1e2 * e.interval.confidence, e.sql.c_str());
     } else {
       std::printf("%2d. score=%.4f\n    %s\n", rank++, e.score,
                   e.sql.c_str());
@@ -246,9 +244,7 @@ int main(int argc, char** argv) {
     for (const net::NetTopkEntry& e : result->topk) {
       obs::ProfileHit h;
       h.score = e.score;
-      h.interval_lo = e.interval_lo;
-      h.interval_hi = e.interval_hi;
-      h.interval_confidence = e.interval_confidence;
+      h.interval = e.interval;
       h.approximate = e.approximate;
       h.label = e.sql;
       hits.push_back(std::move(h));

@@ -85,7 +85,7 @@ int main() {
   // --- deadlines fail fast, cleanly ------------------------------------
   ServiceRequest doomed;
   doomed.cells = sheets[0];
-  doomed.deadline_seconds = 1e-9;
+  doomed.options.deadline_seconds = 1e-9;
   auto missed = service.Search(std::move(doomed));
   std::printf("1ns-deadline request: %s\n",
               missed.status().ToString().c_str());

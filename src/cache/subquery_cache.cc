@@ -15,7 +15,9 @@ SubQueryCache::SubQueryCache(size_t budget_bytes, int32_t num_shards)
 
 int32_t SubQueryCache::ShardsForThreads(int32_t num_threads) {
   if (num_threads <= 1) return 1;
-  return std::min<int32_t>(64, num_threads * 4);
+  // Saturate before multiplying: num_threads arrives unchecked from the
+  // wire, and num_threads * 4 overflows past 2^29.
+  return std::min<int32_t>(num_threads, 16) * 4;
 }
 
 void SubQueryCache::AttachShared(SubQueryCache* shared,

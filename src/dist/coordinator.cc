@@ -180,8 +180,8 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
   UniqueFd fd = std::move(*fd_or);
 
   net::NetSearchRequest sreq = request;
-  sreq.shard_count = static_cast<int32_t>(options_.shards.size());
-  sreq.shard_index = index;
+  sreq.options.shard_count = static_cast<int32_t>(options_.shards.size());
+  sreq.options.shard_index = index;
   sreq.partial_every = options_.partial_every;
   if (state.trace != nullptr) {
     // Cross-shard trace propagation: the shard records its own segment
@@ -195,7 +195,7 @@ Status S4Coordinator::RunExchangeOnce(MergeState& state, int32_t index,
   if (state.budget > 0.0) {
     // Grant the shard a slice of what is left, keeping headroom for the
     // final merge and the wire.
-    sreq.deadline_seconds =
+    sreq.options.deadline_seconds =
         std::max(net::Remaining(state.start, state.budget) *
                      options_.shard_deadline_fraction,
                  1e-3);
@@ -367,10 +367,10 @@ StatusOr<DistSearchResult> S4Coordinator::Search(
         next_request_id_.fetch_add(1, std::memory_order_relaxed));
   }
 
-  MergeState state(n, request.k, request.approx_epsilon);
+  MergeState state(n, request.options.k, request.options.approx_epsilon);
   state.start = std::chrono::steady_clock::now();
-  state.budget = request.deadline_seconds > 0.0
-                     ? request.deadline_seconds
+  state.budget = request.options.deadline_seconds > 0.0
+                     ? request.options.deadline_seconds
                      : options_.request_timeout_seconds;
   state.trace = trace.get();
 
@@ -411,9 +411,9 @@ StatusOr<DistSearchResult> S4Coordinator::Search(
     }
     result.approximate |= state.relaxed_stop;
     std::sort(merged.begin(), merged.end(), MergeBefore);
-    if (request.k >= 0 &&
-        merged.size() > static_cast<size_t>(request.k)) {
-      merged.resize(static_cast<size_t>(request.k));
+    if (request.options.k >= 0 &&
+        merged.size() > static_cast<size_t>(request.options.k)) {
+      merged.resize(static_cast<size_t>(request.options.k));
     }
     result.topk = std::move(merged);
     result.partials_received = state.partials_received;

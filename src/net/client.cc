@@ -107,6 +107,14 @@ StatusOr<std::string> S4Client::Exchange(
 
 StatusOr<NetSearchResponse> S4Client::Search(
     const NetSearchRequest& request, uint64_t* request_id_out) {
+  if (request.partial_every > 0) {
+    // A streamed exchange has partials ahead of its response; this
+    // blocking client would read a partial as the reply and pool a
+    // socket with the rest of the exchange unread. S4Coordinator is the
+    // partials' consumer.
+    return Status::InvalidArgument(
+        "S4Client::Search cannot receive partials (partial_every > 0)");
+  }
   auto payload = Exchange(
       [&](uint64_t id) { return EncodeSearchRequestFrame(request, id); },
       FrameType::kSearchResponse, request_id_out);

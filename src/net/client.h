@@ -48,6 +48,8 @@ class S4Client {
 
   // `request_id_out`, when non-null, receives the wire id this search
   // ran under — the handle FetchTrace uses to retrieve its trace later.
+  // A request with partial_every > 0 is rejected (InvalidArgument)
+  // before anything is sent: only S4Coordinator consumes partials.
   StatusOr<NetSearchResponse> Search(const NetSearchRequest& request,
                                      uint64_t* request_id_out = nullptr);
   // Live write path: applies the batch on the server (batch-as-a-sequence

@@ -91,7 +91,7 @@ inline bool IsValidFrameType(uint8_t t) {
          t <= static_cast<uint8_t>(FrameType::kSlowLogResponse);
 }
 
-// Decode-side cap on NetSearchRequest::shard_count: far above any
+// Decode-side cap on a search request's options.shard_count: far above any
 // deployment this code targets, small enough that a hostile frame cannot
 // claim an absurd topology.
 inline constexpr int32_t kMaxWireShards = 1024;
@@ -110,7 +110,12 @@ inline constexpr uint32_t kMaxWireMutationValues = 4096;
 inline constexpr double kMaxWireApproxEpsilon = 1e6;
 inline constexpr int64_t kMaxWireSampleBudget = int64_t{1} << 32;
 
-// Decode-side caps on the trace segment a search response carries:
+// Cap on the top-k entries one response or partial carries: far above
+// any k a caller asks for, small enough that a hostile count cannot
+// force an absurd allocation.
+inline constexpr uint32_t kMaxWireTopk = 1u << 20;
+
+// Caps on the trace segment a search response carries:
 // events per segment and args per event. A real per-request trace is a
 // few hundred events; a hostile frame cannot force absurd allocations.
 inline constexpr uint32_t kMaxWireTraceEvents = 4096;
@@ -120,12 +125,6 @@ inline constexpr uint32_t kMaxWireTraceArgs = 16;
 inline constexpr uint8_t kWireValueNull = 0;
 inline constexpr uint8_t kWireValueInt = 1;
 inline constexpr uint8_t kWireValueText = 2;
-
-// S4System::Strategy on the wire (decoupled from the enum's in-memory
-// numbering so either side can re-order its enum without a wire break).
-inline constexpr uint8_t kWireStrategyNaive = 0;
-inline constexpr uint8_t kWireStrategyBaseline = 1;
-inline constexpr uint8_t kWireStrategyFastTopK = 2;
 
 // --- Status <-> wire error code mapping -------------------------------
 //

@@ -39,11 +39,7 @@ std::vector<NetTopkEntry> ToWireTopk(const std::vector<ScoredQuery>& topk,
     e.row_score = sq.row_score;
     e.column_score = sq.column_score;
     e.approximate = sq.approximate;
-    e.interval_lo = sq.interval.lo;
-    e.interval_hi = sq.interval.hi;
-    e.interval_confidence = sq.interval.confidence;
-    e.support = sq.interval.support;
-    e.sampled = sq.interval.sampled;
+    e.interval = sq.interval;
     out.push_back(std::move(e));
   }
   return out;
@@ -61,18 +57,6 @@ void AddDecodeSpan(obs::Trace* trace,
       start - std::chrono::duration_cast<obs::Trace::Clock::duration>(
                   std::chrono::duration<double>(decode_seconds)),
       start);
-}
-
-const char* StrategyName(S4System::Strategy s) {
-  switch (s) {
-    case S4System::Strategy::kNaive:
-      return "naive";
-    case S4System::Strategy::kBaseline:
-      return "baseline";
-    case S4System::Strategy::kFastTopK:
-      return "fasttopk";
-  }
-  return "unknown";
 }
 
 }  // namespace
@@ -230,11 +214,10 @@ void S4Server::DispatchSearch(const std::shared_ptr<Connection>& conn,
                               uint64_t request_id, NetSearchRequest req) {
   const auto start = std::chrono::steady_clock::now();
   ServiceRequest sreq;
-  sreq.options = req.ToSearchOptions();
-  sreq.strategy = req.ToStrategy();
-  sreq.priority = req.priority;
-  sreq.deadline_seconds = req.deadline_seconds;
   sreq.cells = std::move(req.cells);
+  sreq.options = std::move(req.options);
+  sreq.strategy = req.strategy;
+  sreq.priority = req.priority;
   // A coordinator asking for a stitched timeline (want_trace) gets a
   // per-request trace regardless of this server's own tracing flag —
   // the segment rides back on the response either way.
@@ -274,8 +257,9 @@ void S4Server::DispatchSearch(const std::shared_ptr<Connection>& conn,
   std::shared_ptr<obs::Trace> trace = sreq.trace;
   Dispatch<SearchResult>(
       conn, request_id, start, trace,
-      options_.verbose ? StrFormat("strategy=%s", StrategyName(strategy))
-                       : std::string(),
+      options_.verbose
+          ? StrFormat("strategy=%s", S4System::StrategyName(strategy))
+          : std::string(),
       [&](auto done) {
         return service_->SubmitAsync(std::move(sreq), std::move(done));
       },

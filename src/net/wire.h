@@ -1,9 +1,12 @@
 #ifndef S4_NET_WIRE_H_
 #define S4_NET_WIRE_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -44,46 +47,79 @@ Status RecvFrame(int fd, double timeout_seconds, FrameHeader* h,
                  std::string* payload);
 
 // --- messages ----------------------------------------------------------
+//
+// Each message payload is written down once, as a field list in wire
+// order: the Fields overload after the struct. WireWriter and WireReader
+// (below) encode and decode every message from its list, and wire_test
+// derives its generators and bitwise comparisons from the same lists.
+// Editing a list changes the bytes on the wire: bump kProtocolVersion and
+// regenerate wire_test's golden bytes.
+//
+// A list calls f(m.<field>...) once per field, zipping any number of
+// same-typed messages (one to encode or decode, two to compare). Field
+// types, all little-endian:
+//   bool                 one byte, strictly 0 or 1 (decode rejects others)
+//   fixed-width ints     their width; double as raw IEEE-754 bits, so
+//                        scores survive bit-exactly
+//   std::string          u32 length + bytes
+//   S4System::Strategy   one byte, the enum value
+//   a nested message     its own field list, inline
+//   Capped<kCap>(v)      u32 count + elements; encode writes at most kCap,
+//                        decode rejects a count above kCap
+//   Tail(has, value)     a has-flag, then `value` only when set (decode
+//                        resets an absent `value` to its default)
+
+// Overload tag naming the message a field list describes.
+template <class T>
+struct Msg {};
+
+template <uint32_t kCap, class V>
+struct WireVector {
+  V& items;
+};
+template <uint32_t kCap, class V>
+WireVector<kCap, V> Capped(V& items) {
+  return {items};
+}
+
+template <class B, class T>
+struct WireTail {
+  B& has;
+  T& value;
+};
+template <class B, class T>
+WireTail<B, T> Tail(B& has, T& value) {
+  return {has, value};
+}
+
+// The strategy byte is the enum value: reordering the enum would
+// silently re-map every peer's strategy, so the numbering is pinned here.
+static_assert(static_cast<int>(S4System::Strategy::kNaive) == 0 &&
+              static_cast<int>(S4System::Strategy::kBaseline) == 1 &&
+              static_cast<int>(S4System::Strategy::kFastTopK) == 2);
 
 // A search request as it travels on the wire: raw spreadsheet cells plus
-// the SearchOptions subset a remote caller may set. Everything else
-// (pool, stop token, shared cache) is service-side plumbing that never
-// crosses the network.
+// the SearchOptions it runs under. Only the options' wire subset travels
+// (see its field list); every other SearchOptions field (pool, stop
+// token, shared cache, progress sink, ...) is service-side plumbing and
+// arrives at its default. The deadline is options.deadline_seconds,
+// armed server-side at frame arrival, so it covers queue wait but not
+// client-side network time. Decode validates the options exactly as
+// ValidateSearchOptions does, plus the wire caps (protocol.h).
 struct NetSearchRequest {
   std::vector<std::vector<std::string>> cells;
-  uint8_t strategy = kWireStrategyFastTopK;
+  SearchOptions options;
+  S4System::Strategy strategy = S4System::Strategy::kFastTopK;
   int32_t priority = 0;
-  // Armed server-side at frame arrival, so it covers queue wait but not
-  // client-side network time.
-  double deadline_seconds = 0.0;
-
-  int32_t k = 10;
-  double alpha = 0.8;
-  double epsilon = 0.6;
-  bool use_idf = false;
-  double exact_match_bonus = 0.0;
-  int32_t spelling_edits = 0;
-  bool drop_zero_rows = false;
-  int32_t num_threads = 0;
-  int32_t max_tree_size = 5;
-  uint64_t cache_budget_bytes = 500u << 20;
-  // Anytime approximate search knobs (v2 fields; SearchOptions mirror).
-  // Decode enforces the same invariants as ValidateSearchOptions, so a
-  // hostile frame cannot smuggle NaN/negative knobs past the boundary.
-  double approx_epsilon = 0.0;
-  double approx_confidence = 0.95;
-  int64_t sample_budget = 4096;
-  uint64_t rng_seed = 0x5344534453445344ULL;
-  // v3: ask the server to attach its QueryProfile (timing envelope) to
-  // the response.
+  // Ask the server to attach its QueryProfile (timing envelope) to the
+  // response.
   bool want_profile = false;
-  // v5 exchange fields (DESIGN.md "Distributed serving"). A plain search
-  // is slice 0 of 1 with no partials; a coordinator names the
-  // candidate-space slice this shard owns and a partial cadence: the
-  // server streams a kShardPartial every `partial_every` strategy
-  // progress snapshots before the final kSearchResponse (0 = none).
-  int32_t shard_count = 1;
-  int32_t shard_index = 0;
+  // Exchange fields (DESIGN.md "Distributed serving"). A plain search is
+  // slice 0 of 1 (options.shard_count/shard_index) with no partials; a
+  // coordinator names the candidate-space slice this shard owns and a
+  // partial cadence: the server streams a kShardPartial every
+  // `partial_every` strategy progress snapshots before the final
+  // kSearchResponse (0 = none).
   uint32_t partial_every = 0;
   // Trace context (DESIGN.md "Observability"): when want_trace is set
   // the server records a per-request trace tagged with the caller's
@@ -105,13 +141,39 @@ struct NetSearchRequest {
   static NetSearchRequest From(std::vector<std::vector<std::string>> cells,
                                const SearchOptions& options,
                                S4System::Strategy strategy,
-                               int32_t priority = 0,
-                               double deadline_seconds = 0.0);
-  // Expands the wire subset back into SearchOptions (fields not on the
-  // wire keep their defaults).
-  SearchOptions ToSearchOptions() const;
-  S4System::Strategy ToStrategy() const;
+                               int32_t priority = 0);
 };
+
+// After the cells, which the codec writes by hand (a rows x cols
+// rectangle with its own caps).
+template <class F, class... M>
+void Fields(Msg<NetSearchRequest>, F&& f, M&&... m) {
+  f(m.strategy...);
+  f(m.priority...);
+  f(m.options.deadline_seconds...);
+  f(m.options.k...);
+  f(m.options.score.alpha...);
+  f(m.options.epsilon...);
+  f(m.options.score.use_idf...);
+  f(m.options.score.exact_match_bonus...);
+  f(m.options.score.spelling_edits...);
+  f(m.options.drop_zero_rows...);
+  f(m.options.num_threads...);
+  f(m.options.enumeration.max_tree_size...);
+  f(m.options.cache_budget_bytes...);
+  f(m.options.approx_epsilon...);
+  f(m.options.approx_confidence...);
+  f(m.options.sample_budget...);
+  f(m.options.rng_seed...);
+  f(m.want_profile...);
+  f(m.options.shard_count...);
+  f(m.options.shard_index...);
+  f(m.partial_every...);
+  f(m.want_trace...);
+  f(m.trace_id...);
+  f(m.parent_span_id...);
+  f(m.origin_unix_us...);
+}
 
 // One ranked answer on the wire. Scores travel as raw IEEE-754 bits, so
 // a networked client sees bit-identical values to an in-process caller.
@@ -122,26 +184,84 @@ struct NetTopkEntry {
   double upper_bound = 0.0;
   double row_score = 0.0;
   double column_score = 0.0;
-  // Sampling-estimator provenance (v2 fields): the score bracket and
-  // whether this hit was resolved approximately. Exact hits travel the
+  // Sampling-estimator provenance: whether this hit was resolved
+  // approximately, and its score bracket. Exact hits travel the
   // degenerate [score, score] interval at confidence 1.
   bool approximate = false;
-  double interval_lo = 0.0;
-  double interval_hi = 0.0;
-  double interval_confidence = 1.0;
-  int64_t support = 0;
-  int64_t sampled = 0;
+  ScoreInterval interval;
 };
+
+template <class F, class... M>
+void Fields(Msg<ScoreInterval>, F&& f, M&&... m) {
+  f(m.lo...);
+  f(m.hi...);
+  f(m.confidence...);
+  f(m.support...);
+  f(m.sampled...);
+}
+
+template <class F, class... M>
+void Fields(Msg<NetTopkEntry>, F&& f, M&&... m) {
+  f(m.signature...);
+  f(m.sql...);
+  f(m.score...);
+  f(m.upper_bound...);
+  f(m.row_score...);
+  f(m.column_score...);
+  f(m.approximate...);
+  f(m.interval...);
+}
+
+// The counter record travels every schema field in list order, each in
+// its declared type (obs/run_stats.h), so a new counter travels without
+// a codec edit.
+template <class F, class... M>
+void Fields(Msg<RunStats>, F&& f, M&&... m) {
+  ForEachStat([&f](const StatField&, auto&... v) { f(v...); }, m...);
+}
+
+template <class F, class... M>
+void Fields(Msg<obs::QueryProfile>, F&& f, M&&... m) {
+  f(m.total_seconds...);
+  f(m.queue_seconds...);
+}
+
+template <class F, class... M>
+void Fields(Msg<obs::TraceSegment::Arg>, F&& f, M&&... m) {
+  f(m.key...);
+  f(m.value...);
+}
+
+template <class F, class... M>
+void Fields(Msg<obs::TraceSegment::Event>, F&& f, M&&... m) {
+  f(m.category...);
+  f(m.name...);
+  f(m.ts_us...);
+  f(m.dur_us...);
+  f(m.tid...);
+  f(m.span_id...);
+  f(m.parent_id...);
+  f(Capped<kMaxWireTraceArgs>(m.args)...);
+}
+
+// Bounded on the encode side too: a server with a pathologically chatty
+// trace truncates to the cap instead of emitting a frame its own peer
+// must reject.
+template <class F, class... M>
+void Fields(Msg<obs::TraceSegment>, F&& f, M&&... m) {
+  f(m.origin_unix_us...);
+  f(m.trace_id...);
+  f(Capped<kMaxWireTraceEvents>(m.events)...);
+}
 
 struct NetSearchResponse {
   std::vector<NetTopkEntry> topk;
   bool interrupted = false;
   // True when any entry was resolved by the sampling estimator or the
-  // run terminated under the epsilon-relaxed bound (v2 field).
+  // run terminated under the epsilon-relaxed bound.
   bool approximate = false;
 
-  // The server's whole per-search counter record, every schema field
-  // (obs/run_stats.h), always present.
+  // The server's whole per-search counter record, always present.
   RunStats stats;
 
   // Server-side wall time, frame arrival -> completion (includes queue
@@ -149,17 +269,26 @@ struct NetSearchResponse {
   double server_seconds = 0.0;
 
   // The timing envelope around `stats`, present only when the request
-  // set want_profile (an optional tail section gated by a has-flag on
-  // the wire; when absent `profile` keeps its defaults).
+  // set want_profile (when absent `profile` keeps its defaults).
   bool has_profile = false;
   obs::QueryProfile profile;
 
   // The server's completed trace segment, present only when the request
-  // set want_trace (a second has-flag tail). Bounded at encode *and*
-  // decode by kMaxWireTraceEvents / kMaxWireTraceArgs.
+  // set want_trace.
   bool has_segment = false;
   obs::TraceSegment segment;
 };
+
+template <class F, class... M>
+void Fields(Msg<NetSearchResponse>, F&& f, M&&... m) {
+  f(m.interrupted...);
+  f(m.approximate...);
+  f(Capped<kMaxWireTopk>(m.topk)...);
+  f(m.stats...);
+  f(m.server_seconds...);
+  f(Tail(m.has_profile, m.profile)...);
+  f(Tail(m.has_segment, m.segment)...);
+}
 
 struct NetError {
   uint8_t code = 0;
@@ -168,6 +297,13 @@ struct NetError {
 
   Status ToStatus() const { return StatusFromWire(code, message); }
 };
+
+template <class F, class... M>
+void Fields(Msg<NetError>, F&& f, M&&... m) {
+  f(m.code...);
+  f(m.retryable...);
+  f(m.message...);
+}
 
 // --- scatter-gather shard exchange -------------------------------------
 
@@ -185,11 +321,19 @@ struct NetShardPartial {
   RunStats stats;
 };
 
+template <class F, class... M>
+void Fields(Msg<NetShardPartial>, F&& f, M&&... m) {
+  f(Capped<kMaxWireTopk>(m.topk)...);
+  f(m.remaining_upper_bound...);
+  f(m.stats...);
+}
+
 // --- live mutation write path ------------------------------------------
 
 // A mutation batch as it travels on the wire. Operations reuse the
 // in-process Mutation struct (tables/columns by name, rows by pk);
-// values carry a one-byte kind tag (kWireValueNull/Int/Text).
+// values carry a one-byte kind tag (kWireValueNull/Int/Text). The layout
+// depends on the op, so this one message is coded by hand.
 struct NetMutateRequest {
   std::vector<Mutation> mutations;
 
@@ -207,6 +351,18 @@ struct NetMutateResponse {
   std::vector<int32_t> touched;  // TableIds, ascending
   double server_seconds = 0.0;
 };
+
+// Touched tables are capped like mutations: a batch cannot touch more
+// relations than it has operations.
+template <class F, class... M>
+void Fields(Msg<NetMutateResponse>, F&& f, M&&... m) {
+  f(m.applied...);
+  f(m.epoch...);
+  f(m.interrupted...);
+  f(m.error...);
+  f(Capped<kMaxWireMutations>(m.touched)...);
+  f(m.server_seconds...);
+}
 
 // --- frame encode (header + payload in one buffer) ---------------------
 
@@ -262,54 +418,150 @@ Status DecodeMutateResponse(std::string_view payload,
 // kSlowLogRequest carries no payload; decode just enforces emptiness.
 Status DecodeSlowLogRequest(std::string_view payload);
 
-// --- primitive reader (exposed for tests / fuzzing) ---------------------
-
-// Sequential little-endian reader over a payload. All Read* methods are
-// bounds-checked: on exhaustion they return false and the reader stays
-// failed. Strings are u32-length-prefixed and the length is validated
-// against the remaining bytes before any allocation, so a hostile
-// length can never cause an oversized reserve.
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  bool ReadU8(uint8_t* v);
-  bool ReadU32(uint32_t* v);
-  bool ReadU64(uint64_t* v);
-  bool ReadI32(int32_t* v);
-  bool ReadI64(int64_t* v);
-  bool ReadDouble(double* v);
-  bool ReadString(std::string* v);
-
-  bool failed() const { return failed_; }
-  size_t remaining() const { return data_.size() - pos_; }
-  // True iff every byte was consumed and nothing failed.
-  bool Exhausted() const { return !failed_ && pos_ == data_.size(); }
-
- private:
-  bool Take(size_t n, const char** out);
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-};
+// --- codec -------------------------------------------------------------
+//
+// One writer and one reader cover every field type a list may hold (see
+// "messages" above); a message's encode and decode is its field list run
+// through them. Both are exposed for tests and fuzzing.
 
 // Sequential little-endian writer (appends to an owned buffer).
 class WireWriter {
  public:
-  void PutU8(uint8_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutI32(int32_t v);
-  void PutI64(int64_t v);
-  void PutDouble(double v);
-  void PutString(std::string_view v);
+  template <class T>
+  void Put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      PutLE(v ? 1 : 0, 1);
+    } else if constexpr (std::is_same_v<T, S4System::Strategy>) {
+      PutLE(static_cast<uint64_t>(v), 1);
+    } else if constexpr (std::is_integral_v<T>) {
+      PutLE(static_cast<uint64_t>(v), sizeof(T));
+    } else if constexpr (std::is_same_v<T, double>) {
+      PutLE(std::bit_cast<uint64_t>(v), 8);
+    } else if constexpr (std::is_convertible_v<const T&, std::string_view>) {
+      const std::string_view bytes(v);
+      Put(static_cast<uint32_t>(bytes.size()));
+      buf_.append(bytes);
+    } else {
+      Fields(Msg<T>{}, *this, v);
+    }
+  }
+  template <uint32_t kCap, class V>
+  void Put(WireVector<kCap, V> v) {
+    const auto n =
+        static_cast<uint32_t>(std::min<size_t>(v.items.size(), kCap));
+    Put(n);
+    for (uint32_t i = 0; i < n; ++i) Put(v.items[i]);
+  }
+  template <class B, class T>
+  void Put(WireTail<B, T> t) {
+    Put(t.has);
+    if (t.has) Put(t.value);
+  }
+  // Field-list visitor entry point.
+  template <class T>
+  void operator()(const T& v) {
+    Put(v);
+  }
 
   const std::string& data() const { return buf_; }
   std::string Take() { return std::move(buf_); }
 
  private:
+  void PutLE(uint64_t v, size_t bytes) {
+    for (size_t i = 0; i < bytes; ++i) {
+      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  }
+
   std::string buf_;
+};
+
+// Sequential little-endian reader over a payload. Every read is
+// bounds-checked; the first failure sticks and makes every later read a
+// no-op, so a decode is one pass over the field list followed by one
+// Finish(). A string length is checked against the bytes left, and a
+// vector count against its cap, before anything is allocated, so a
+// hostile length never causes an oversized reserve.
+class WireReader {
+ public:
+  // `what` names the payload in error messages.
+  explicit WireReader(std::string_view data, const char* what = "frame")
+      : data_(data), what_(what) {}
+
+  template <class T>
+  void Read(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      uint8_t b = 0;
+      Read(b);
+      if (b > 1) Reject("bool field byte is not 0 or 1");
+      v = b == 1;
+    } else if constexpr (std::is_same_v<T, S4System::Strategy>) {
+      uint8_t b = 0;
+      Read(b);
+      if (b > static_cast<uint8_t>(S4System::Strategy::kFastTopK)) {
+        Reject("unknown strategy");
+      }
+      v = static_cast<T>(b);
+    } else if constexpr (std::is_integral_v<T>) {
+      uint64_t u = 0;
+      if (const char* p = Take(sizeof(T))) {
+        for (size_t i = 0; i < sizeof(T); ++i) {
+          u |= uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+        }
+      }
+      v = static_cast<T>(u);
+    } else if constexpr (std::is_same_v<T, double>) {
+      uint64_t u = 0;
+      Read(u);
+      v = std::bit_cast<double>(u);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      uint32_t len = 0;
+      Read(len);
+      if (const char* p = Take(len)) v.assign(p, len);
+    } else {
+      Fields(Msg<T>{}, *this, v);
+    }
+  }
+  template <uint32_t kCap, class V>
+  void Read(WireVector<kCap, V> v) {
+    uint32_t n = 0;
+    Read(n);
+    if (n > kCap) Reject("count exceeds its wire limit");
+    v.items.clear();
+    if (!ok()) return;
+    // Grown as elements arrive: a short payload fails on the element
+    // reads long before a large count could cost memory.
+    v.items.reserve(std::min<uint32_t>(n, 1024));
+    for (uint32_t i = 0; i < n && ok(); ++i) Read(v.items.emplace_back());
+  }
+  template <class B, class T>
+  void Read(WireTail<B, T> t) {
+    Read(t.has);
+    t.value = T{};
+    if (t.has && ok()) Read(t.value);
+  }
+  // Field-list visitor entry point.
+  template <class T>
+  void operator()(T&& v) {
+    Read(v);
+  }
+
+  // Records an InvalidArgument naming the payload (unless an earlier
+  // failure already stuck).
+  void Reject(const char* why);
+  bool ok() const { return status_.ok(); }
+  // The first failure, else InvalidArgument if bytes are left over.
+  Status Finish() const;
+
+ private:
+  // The next n bytes, or nullptr (and a truncation failure) when fewer
+  // remain.
+  const char* Take(size_t n);
+
+  std::string_view data_;
+  size_t pos_ = 0;
+  const char* what_;
+  Status status_;
 };
 
 }  // namespace s4::net

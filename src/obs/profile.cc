@@ -66,8 +66,8 @@ std::string FormatProfile(const RunStats& stats, const QueryProfile& p,
         // lie in, at the per-candidate confidence the caller asked for.
         std::snprintf(buf, sizeof(buf),
                       "  %2d. score=%.4f in [%.4f, %.4f] @ %.0f%% conf  ",
-                      rank++, h.score, h.interval_lo, h.interval_hi,
-                      1e2 * h.interval_confidence);
+                      rank++, h.score, h.interval.lo, h.interval.hi,
+                      1e2 * h.interval.confidence);
       } else {
         std::snprintf(buf, sizeof(buf), "  %2d. score=%.4f  ", rank++,
                       h.score);

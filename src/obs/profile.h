@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "approx/score_interval.h"
 #include "obs/run_stats.h"
 
 namespace s4::obs {
@@ -25,9 +26,7 @@ struct QueryProfile {
 // hit was resolved by the estimator.
 struct ProfileHit {
   double score = 0.0;
-  double interval_lo = 0.0;
-  double interval_hi = 0.0;
-  double interval_confidence = 1.0;
+  ScoreInterval interval;
   bool approximate = false;
   std::string label;  // SQL text or signature
 };

@@ -43,6 +43,18 @@ StatusOr<SearchResult> S4System::Search(
   return result;
 }
 
+const char* S4System::StrategyName(Strategy strategy) {
+  switch (strategy) {
+    case Strategy::kNaive:
+      return "naive";
+    case Strategy::kBaseline:
+      return "baseline";
+    case Strategy::kFastTopK:
+      return "fasttopk";
+  }
+  return "unknown";
+}
+
 SearchResult S4System::Search(const ExampleSpreadsheet& sheet,
                               const SearchOptions& options,
                               Strategy strategy) const {

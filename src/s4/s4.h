@@ -31,6 +31,8 @@ class S4System {
     kBaseline,
     kFastTopK,
   };
+  // "naive", "baseline" or "fasttopk" (server logs, the slow-query log).
+  static const char* StrategyName(Strategy strategy);
 
   // Builds all offline indexes. `db` must be finalized and outlive the
   // returned system.

@@ -34,18 +34,6 @@ double BitsToDouble(uint64_t bits) {
   return d;
 }
 
-const char* SlowLogStrategyName(S4System::Strategy s) {
-  switch (s) {
-    case S4System::Strategy::kNaive:
-      return "naive";
-    case S4System::Strategy::kBaseline:
-      return "baseline";
-    case S4System::Strategy::kFastTopK:
-      return "fasttopk";
-  }
-  return "unknown";
-}
-
 // Slow-log order: by admission-to-completion wall time.
 bool FasterRequest(const SlowLogEntry& a, const SlowLogEntry& b) {
   return a.profile.total_seconds < b.profile.total_seconds;
@@ -148,11 +136,6 @@ std::string S4Service::CachePrefix(
 
 Status S4Service::Admit(std::shared_ptr<Pending> pending) {
   S4_RETURN_IF_ERROR(ValidateSearchOptions(pending->request.options));
-  if (pending->request.deadline_seconds < 0.0) {
-    return Status::InvalidArgument(
-        StrFormat("deadline_seconds must be non-negative, got %f",
-                  pending->request.deadline_seconds));
-  }
   if (options_.shard_count > 0 &&
       (pending->request.options.shard_count != options_.shard_count ||
        pending->request.options.shard_index != options_.shard_index)) {
@@ -165,10 +148,9 @@ Status S4Service::Admit(std::shared_ptr<Pending> pending) {
   }
   pending->stop = std::make_shared<StopToken>();
   pending->admitted = std::chrono::steady_clock::now();
-  // Deadline resolution: request > options > service default. Armed at
-  // admission so queue wait counts against it.
-  double deadline = pending->request.deadline_seconds;
-  if (deadline <= 0.0) deadline = pending->request.options.deadline_seconds;
+  // Deadline resolution: the request's options, else the service
+  // default. Armed at admission so queue wait counts against it.
+  double deadline = pending->request.options.deadline_seconds;
   if (deadline <= 0.0) deadline = options_.default_deadline_seconds;
   if (deadline > 0.0) pending->stop->SetDeadline(deadline);
   {
@@ -341,7 +323,7 @@ void S4Service::MaybeRecordSlowQuery(const Pending& p,
                    ? 0
                    : static_cast<int32_t>(p.request.cells.front().size());
   entry.k = p.request.options.k;
-  entry.strategy = SlowLogStrategyName(p.request.strategy);
+  entry.strategy = S4System::StrategyName(p.request.strategy);
   entry.status = result.ok() ? "OK" : result.status().ToString();
   if (result.ok()) entry.stats = result->stats;
 

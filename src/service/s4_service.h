@@ -67,13 +67,12 @@ struct ServiceOptions {
 struct ServiceRequest {
   // Raw spreadsheet cells (rows x columns; empty string = empty cell).
   std::vector<std::vector<std::string>> cells;
+  // options.deadline_seconds (else the service default) is measured
+  // from admission, so it covers queue wait.
   SearchOptions options;
   S4System::Strategy strategy = S4System::Strategy::kFastTopK;
   // Higher runs first; FIFO among equal priorities.
   int32_t priority = 0;
-  // Overrides options.deadline_seconds (and the service default) when
-  // positive. Measured from admission, covering queue wait.
-  double deadline_seconds = 0.0;
   // Per-request trace sink: when set, the service records queue-wait
   // and search spans into it (and points options.trace at it for the
   // strategy/evaluator spans). Shared so the caller can keep the trace

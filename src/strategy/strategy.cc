@@ -24,16 +24,16 @@ Status ValidateSearchOptions(const SearchOptions& options) {
     return Status::InvalidArgument(
         StrFormat("epsilon must be positive, got %f", options.epsilon));
   }
-  if (options.deadline_seconds < 0.0) {
+  if (!(options.deadline_seconds >= 0.0)) {
     return Status::InvalidArgument(
         StrFormat("deadline_seconds must be non-negative, got %f",
                   options.deadline_seconds));
   }
-  if (options.score.alpha < 0.0 || options.score.alpha > 1.0) {
+  if (!(options.score.alpha >= 0.0 && options.score.alpha <= 1.0)) {
     return Status::InvalidArgument(
         StrFormat("alpha must be in [0, 1], got %f", options.score.alpha));
   }
-  if (options.approx_epsilon < 0.0) {
+  if (!(options.approx_epsilon >= 0.0)) {
     return Status::InvalidArgument(
         StrFormat("approx_epsilon must be non-negative, got %f",
                   options.approx_epsilon));

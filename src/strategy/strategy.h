@@ -117,8 +117,9 @@ struct SearchOptions {
 int32_t ShardOfSignature(std::string_view signature, int32_t shard_count);
 
 // Rejects nonsensical configurations (non-positive k, zero byte budget,
-// non-positive epsilon, negative deadline, alpha outside [0, 1]) with
-// InvalidArgument. Checked at the S4System / S4Service boundary so bad
+// non-positive epsilon, negative deadline, alpha outside [0, 1], NaN
+// knobs, a bad approx or shard setting) with InvalidArgument. Checked at
+// the S4System / S4Service boundary and by the wire decoder, so bad
 // values fail loudly instead of relying on downstream behavior.
 Status ValidateSearchOptions(const SearchOptions& options);
 

@@ -1,6 +1,7 @@
 // Sub-PJ query cache: LRU replacement, budget enforcement, pinning,
 // byte accounting, and sharded concurrent access.
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,6 +196,17 @@ TEST(ShardedCacheTest, ShardsForThreads) {
   EXPECT_EQ(SubQueryCache::ShardsForThreads(1), 1);
   EXPECT_GT(SubQueryCache::ShardsForThreads(4), 1);
   EXPECT_LE(SubQueryCache::ShardsForThreads(1024), 64);
+}
+
+// num_threads can arrive from the wire at any int32 value: the shard
+// count saturates at 64 instead of overflowing num_threads * 4.
+TEST(SubQueryCacheTest, ShardsForThreadsSaturates) {
+  EXPECT_EQ(SubQueryCache::ShardsForThreads(1), 1);
+  EXPECT_EQ(SubQueryCache::ShardsForThreads(2), 8);
+  EXPECT_EQ(SubQueryCache::ShardsForThreads(16), 64);
+  EXPECT_EQ(SubQueryCache::ShardsForThreads(
+                std::numeric_limits<int32_t>::max()),
+            64);
 }
 
 TEST(ShardedCacheTest, BasicOpsAcrossShards) {

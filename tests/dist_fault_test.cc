@@ -151,7 +151,9 @@ TEST(DistFaultTest, DropMidRequestDegradesToReachedSlices) {
     EXPECT_FALSE(got->shards[lost].reached);
     EXPECT_FALSE(got->shards[lost].error.empty());
     for (int32_t i = 0; i < kShards; ++i) {
-      if (i != lost) EXPECT_TRUE(got->shards[i].reached) << "shard " << i;
+      if (i != lost) {
+        EXPECT_TRUE(got->shards[i].reached) << "shard " << i;
+      }
     }
     ExpectSameTopk(ExpectedWithoutShard(lost), got->topk, "drop");
 

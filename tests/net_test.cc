@@ -5,8 +5,10 @@
 // connection; framing violations close it; garbage closes it silently),
 // disconnect-triggered cancellation, deadline mapping, backpressure as a
 // retryable error, and the absence of fd leaks across all of it.
+#include <bit>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -215,6 +217,22 @@ TEST(NetProtocolTest, MalformedPayloadGetsErrorConnectionSurvives) {
   EXPECT_EQ(err.ToStatus().code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(err.retryable);
 
+  // A well-formed request whose options fail ValidateSearchOptions is
+  // rejected at decode the same way: InvalidArgument, stream in sync.
+  SearchOptions bad_k = BaseOptions();
+  bad_k.k = 0;
+  const std::string bad_request = EncodeSearchRequestFrame(
+      NetSearchRequest::From(TestSheets()[0], bad_k,
+                             S4System::Strategy::kFastTopK),
+      98);
+  ASSERT_TRUE(
+      SendAll(fd->get(), bad_request.data(), bad_request.size(), 5.0).ok());
+  ASSERT_TRUE(RecvFrame(fd->get(), 10.0, &reply, &payload).ok());
+  EXPECT_EQ(reply.type, FrameType::kError);
+  EXPECT_EQ(reply.request_id, 98u);
+  ASSERT_TRUE(DecodeError(payload, &err).ok());
+  EXPECT_EQ(err.ToStatus().code(), StatusCode::kInvalidArgument);
+
   // The same connection still serves a ping.
   const std::string ping = EncodePingFrame(100);
   ASSERT_TRUE(SendAll(fd->get(), ping.data(), ping.size(), 5.0).ok());
@@ -273,6 +291,28 @@ TEST(NetProtocolTest, SearchStreamsPartialsOnlyWhenAsked) {
   exchange(req, 9, &partials);
   EXPECT_GE(partials, 1);
   EXPECT_EQ(h.server->counters().shard_partials_sent.load(), partials);
+}
+
+// The blocking client has nowhere to deliver partials: a request with a
+// partial cadence is refused before anything is sent, so the pooled
+// connection never holds an unread exchange.
+TEST(NetProtocolTest, ClientRefusesPartialCadence) {
+  ServerHarness h;
+  S4Client client(h.MakeClientOptions());
+  ASSERT_TRUE(client.Ping().ok());  // one pooled connection
+  const int64_t frames = h.server->counters().frames_received.load();
+  NetSearchRequest req = NetSearchRequest::From(
+      TestSheets()[0], BaseOptions(), S4System::Strategy::kFastTopK);
+  req.partial_every = 1;
+  auto refused = client.Search(req);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(h.server->counters().frames_received.load(), frames);
+
+  req.partial_every = 0;
+  auto served = client.Search(req);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(h.server->counters().connections_accepted.load(), 1);
 }
 
 TEST(NetProtocolTest, GarbageStreamClosedWithoutResponse) {
@@ -354,9 +394,10 @@ TEST(NetProtocolTest, DeadlineExceededMapsToTypedStatus) {
     h.service->Resume();
   });
   S4Client client(h.MakeClientOptions());
+  SearchOptions options = BaseOptions();
+  options.deadline_seconds = 1e-6;
   NetSearchRequest req = NetSearchRequest::From(
-      TestSheets()[0], BaseOptions(), S4System::Strategy::kFastTopK,
-      /*priority=*/0, /*deadline_seconds=*/1e-6);
+      TestSheets()[0], options, S4System::Strategy::kFastTopK);
   auto result = client.Search(req);
   resumer.join();
   ASSERT_FALSE(result.ok());
@@ -443,6 +484,30 @@ TEST(NetClientTest, PoolRecoversFromServerSideIdleClose) {
   auto result = client.Search(NetSearchRequest::From(
       TestSheets()[1], BaseOptions(), S4System::Strategy::kBaseline));
   EXPECT_TRUE(result.ok()) << result.status();
+}
+
+// num_threads travels unchecked; the largest value must still run (the
+// per-run cache sizing saturates) and rank exactly like the default.
+TEST(NetIntegrationTest, HugeThreadCountMatchesDefault) {
+  ServerHarness h;
+  S4Client client(h.MakeClientOptions());
+  SearchOptions options;
+  options.k = 5;
+  auto base = client.Search(NetSearchRequest::From(
+      TestSheets()[0], options, S4System::Strategy::kFastTopK));
+  options.num_threads = std::numeric_limits<int32_t>::max();
+  auto huge = client.Search(NetSearchRequest::From(
+      TestSheets()[0], options, S4System::Strategy::kFastTopK));
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_TRUE(huge.ok()) << huge.status();
+  ASSERT_FALSE(base->topk.empty());
+  ASSERT_EQ(huge->topk.size(), base->topk.size());
+  for (size_t i = 0; i < base->topk.size(); ++i) {
+    EXPECT_EQ(huge->topk[i].signature, base->topk[i].signature) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(huge->topk[i].score),
+              std::bit_cast<uint64_t>(base->topk[i].score))
+        << i;
+  }
 }
 
 // Every error path above, then count fds: accepting, erroring, idling,

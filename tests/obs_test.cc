@@ -465,9 +465,9 @@ TEST(ObsProfileTest, FormatProfileSectionsAndErrorBars) {
   exact.label = "SELECT ...";
   obs::ProfileHit approx;
   approx.score = 1.25;
-  approx.interval_lo = 1.0;
-  approx.interval_hi = 1.5;
-  approx.interval_confidence = 0.95;
+  approx.interval.lo = 1.0;
+  approx.interval.hi = 1.5;
+  approx.interval.confidence = 0.95;
   approx.approximate = true;
   approx.label = "SELECT sampled";
 

@@ -173,7 +173,7 @@ TEST(ServiceDeadlineTest, TinyDeadlineFailsWithoutCorruptingCache) {
     ServiceRequest req;
     req.cells = cells;
     req.options = options;
-    req.deadline_seconds = 1e-9;
+    req.options.deadline_seconds = 1e-9;
     auto ticket = service.Submit(std::move(req));
     ASSERT_TRUE(ticket.ok()) << ticket.status();
     ticket->stop->SetDeadline(-1.0);  // provably expired while queued
@@ -224,11 +224,10 @@ TEST(ServiceValidationTest, BadOptionsRejectedAtTheBoundary) {
   S4Service service(System());
   const Cells cells = TestSheets()[0];
 
-  auto submit = [&](SearchOptions options, double deadline = 0.0) {
+  auto submit = [&](SearchOptions options) {
     ServiceRequest req;
     req.cells = cells;
     req.options = std::move(options);
-    req.deadline_seconds = deadline;
     return service.Submit(std::move(req)).status();
   };
 
@@ -249,8 +248,6 @@ TEST(ServiceValidationTest, BadOptionsRejectedAtTheBoundary) {
   SearchOptions bad_deadline = BaseOptions();
   bad_deadline.deadline_seconds = -1.0;
   EXPECT_EQ(submit(bad_deadline).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(submit(BaseOptions(), -0.5).code(),
-            StatusCode::kInvalidArgument);
 
   SearchOptions bad_alpha = BaseOptions();
   bad_alpha.score.alpha = 1.5;
@@ -411,7 +408,9 @@ TEST(ServiceSessionTest, SessionsMatchFreshSearchesAndClose) {
   EXPECT_EQ(service.SessionSearch(*id, cells1).status().code(),
             StatusCode::kNotFound);
   EXPECT_EQ(service.CloseSession(*id).code(), StatusCode::kNotFound);
-  EXPECT_EQ(service.OpenSession(SearchOptions{.k = -1}).status().code(),
+  SearchOptions bad_k;
+  bad_k.k = -1;
+  EXPECT_EQ(service.OpenSession(bad_k).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -1,15 +1,15 @@
 #include "bench/bench_util.h"
 
-#include <atomic>
-#include <chrono>
-#include <cmath>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
 #include <thread>
 
-#include "common/rng.h"
+#include "common/simd.h"
 #include "common/timer.h"
 
 namespace s4::bench {
@@ -60,6 +60,57 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+// First line of `command`'s standard output, without the newline; empty
+// when the command cannot run or prints nothing.
+std::string FirstLineOf(const std::string& command) {
+  std::FILE* p = popen(command.c_str(), "r");
+  if (p == nullptr) return "";
+  char buf[256] = {};
+  std::string line = std::fgets(buf, sizeof(buf), p) != nullptr ? buf : "";
+  pclose(p);
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+// HEAD of the source tree this binary was built from, suffixed "-dirty"
+// when tracked sources under src/ or bench/ differ from it; "unknown"
+// outside a git checkout.
+std::string GitSha() {
+  const std::string git = std::string("git -C '") + S4_SOURCE_DIR + "' ";
+  const std::string sha = FirstLineOf(git + "rev-parse HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  const std::string changed = FirstLineOf(
+      git + "status --porcelain --untracked-files=no -- src bench "
+            "':!bench/*.json' 2>/dev/null");
+  return changed.empty() ? sha : sha + "-dirty";
+}
+
+// The provenance object of the JSON file: commit, machine, build, and
+// every S4_BENCH_* knob that is set (sorted, so files diff cleanly).
+std::string ProvenanceJson() {
+  std::vector<std::string> knobs;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (std::strncmp(*e, "S4_BENCH_", 9) == 0) knobs.push_back(*e);
+  }
+  std::sort(knobs.begin(), knobs.end());
+  std::string env;
+  for (const std::string& knob : knobs) {
+    const size_t eq = knob.find('=');
+    env += std::string(env.empty() ? "" : ", ") + "\"" +
+           JsonEscape(knob.substr(0, eq)) + "\": \"" +
+           JsonEscape(knob.substr(eq + 1)) + "\"";
+  }
+  return "{\"git_sha\": \"" + JsonEscape(GitSha()) +
+         "\", \"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" + JsonEscape(S4_COMPILER) +
+         "\", \"build_type\": \"" + JsonEscape(S4_BUILD_TYPE) +
+         "\", \"simd\": \"" + simd::BackendName() + "\", \"env\": {" + env +
+         "}}";
+}
+
 }  // namespace
 
 int JsonInit(int argc, char** argv, const std::string& bench_name) {
@@ -100,17 +151,6 @@ void JsonRunStats(const std::string& section, const RunStats& stats) {
       stats);
 }
 
-void JsonLatency(const std::string& section,
-                 const LatencyHistogram::Snapshot& snapshot) {
-  JsonMetric(section, "latency_samples", static_cast<double>(snapshot.total));
-  JsonMetric(section, "p50_ms", 1e3 * snapshot.PercentileSeconds(0.50));
-  JsonMetric(section, "p95_ms", 1e3 * snapshot.PercentileSeconds(0.95));
-  JsonMetric(section, "p99_ms", 1e3 * snapshot.PercentileSeconds(0.99));
-  JsonMetric(section, "p999_ms", 1e3 * snapshot.PercentileSeconds(0.999));
-  JsonMetric(section, "max_ms", 1e3 * snapshot.max_seconds);
-  JsonMetric(section, "mean_ms", 1e3 * snapshot.MeanSeconds());
-}
-
 void JsonMetricsSnapshot(const std::string& section,
                          const obs::MetricsSnapshot& snapshot) {
   for (const obs::MetricsSnapshot::Entry& e : snapshot.entries) {
@@ -139,8 +179,10 @@ void JsonWrite() {
     return;
   }
   state.written = true;
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"metrics\": [",
-               JsonEscape(state.bench_name).c_str());
+  std::fprintf(f,
+               "{\n  \"bench\": \"%s\",\n  \"provenance\": %s,\n"
+               "  \"metrics\": [",
+               JsonEscape(state.bench_name).c_str(), ProvenanceJson().c_str());
   for (size_t i = 0; i < state.records.size(); ++i) {
     const JsonRecord& r = state.records[i];
     std::fprintf(f, "%s\n    {\"section\": \"%s\", \"name\": \"%s\", \"value\": %.17g}",
@@ -234,78 +276,6 @@ int64_t EnvInt(const char* name, int64_t def) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
   return std::atoll(v);
-}
-
-LoadGenResult RunLoadGen(
-    const LoadGenOptions& options,
-    const std::function<Status(int32_t client, int32_t seq)>& issue) {
-  const int32_t clients = options.clients < 1 ? 1 : options.clients;
-  const int32_t per_client =
-      options.requests_per_client < 0 ? 0 : options.requests_per_client;
-  const bool open_loop = options.arrival_rate_qps > 0.0;
-  // Deterministic per-client Poisson schedule, precomputed before any
-  // thread starts so the arrival process is independent of service time.
-  std::vector<std::vector<double>> schedule(static_cast<size_t>(clients));
-  if (open_loop) {
-    const double per_client_rate =
-        options.arrival_rate_qps / static_cast<double>(clients);
-    for (int32_t c = 0; c < clients; ++c) {
-      Rng rng(options.seed + static_cast<uint64_t>(c) * 0x9e3779b9ULL);
-      double t = 0.0;
-      auto& s = schedule[static_cast<size_t>(c)];
-      s.reserve(static_cast<size_t>(per_client));
-      for (int32_t i = 0; i < per_client; ++i) {
-        // Exponential interarrival; 1 - U keeps log() away from 0.
-        t += -std::log(1.0 - rng.NextDouble()) / per_client_rate;
-        s.push_back(t);
-      }
-    }
-  }
-
-  LatencyHistogram latency;
-  std::atomic<int64_t> ok{0}, errors{0};
-  WallTimer timer;
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(clients));
-  for (int32_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      for (int32_t i = 0; i < per_client; ++i) {
-        std::chrono::steady_clock::time_point issued_from;
-        if (open_loop) {
-          const auto scheduled =
-              start + std::chrono::duration_cast<
-                          std::chrono::steady_clock::duration>(
-                          std::chrono::duration<double>(
-                              schedule[static_cast<size_t>(c)]
-                                      [static_cast<size_t>(i)]));
-          std::this_thread::sleep_until(scheduled);
-          // Latency anchors at the *scheduled* arrival: if the previous
-          // request overran its slot, the slip counts against us.
-          issued_from = scheduled;
-        } else {
-          issued_from = std::chrono::steady_clock::now();
-        }
-        const Status st = issue(c, i);
-        latency.Record(std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - issued_from)
-                           .count());
-        if (st.ok()) {
-          ok.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          errors.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-
-  LoadGenResult result;
-  result.ok = ok.load();
-  result.errors = errors.load();
-  result.elapsed_seconds = timer.ElapsedSeconds();
-  result.latency = latency.snapshot();
-  return result;
 }
 
 void PrintHeader(const std::string& title, const std::string& what) {

@@ -2,12 +2,10 @@
 #define S4_BENCH_BENCH_UTIL_H_
 
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/latency_histogram.h"
 #include "common/status.h"
 #include "common/table_printer.h"
 #include "datagen/es_gen.h"
@@ -64,51 +62,6 @@ double AvgTotalMs(const RunStats& s);
 // users can scale benchmarks up without recompiling.
 int64_t EnvInt(const char* name, int64_t def);
 
-// --- load generation ---------------------------------------------------
-//
-// Shared by the service- and network-throughput benches so both report
-// comparable numbers from the same arrival process.
-
-struct LoadGenOptions {
-  int32_t clients = 8;
-  int32_t requests_per_client = 30;
-  // 0 = closed loop: each client issues its next request the moment the
-  // previous one returns, so offered load self-throttles to capacity.
-  // > 0 = open loop: arrivals follow a Poisson process at this aggregate
-  // rate (split evenly across clients), each request's latency measured
-  // from its *scheduled* arrival time. A slow server cannot slow the
-  // arrival schedule down, so queueing delay lands in the tail instead
-  // of being absorbed by client back-off (coordinated omission).
-  double arrival_rate_qps = 0.0;
-  uint64_t seed = 7;
-};
-
-struct LoadGenResult {
-  int64_t ok = 0;
-  int64_t errors = 0;
-  double elapsed_seconds = 0.0;
-  // Per-request latency: completion minus scheduled arrival (open loop)
-  // or minus issue time (closed loop).
-  LatencyHistogram::Snapshot latency;
-
-  double Qps() const {
-    return elapsed_seconds > 0.0
-               ? static_cast<double>(ok + errors) / elapsed_seconds
-               : 0.0;
-  }
-};
-
-// Runs `issue(client, seq)` from `clients` threads per `options`. The
-// interarrival schedule is precomputed (deterministic per seed); open
-// loop sleeps each client to its next scheduled arrival even when the
-// previous request has not returned yet... which it cannot express with
-// one blocking issue() per client, so late requests are issued
-// back-to-back and their measured latency includes the schedule slip —
-// the standard single-threaded open-loop approximation.
-LoadGenResult RunLoadGen(
-    const LoadGenOptions& options,
-    const std::function<Status(int32_t client, int32_t seq)>& issue);
-
 // Prints the standard bench banner (dataset + substitution note).
 void PrintHeader(const std::string& title, const std::string& what);
 
@@ -117,11 +70,16 @@ void PrintHeader(const std::string& title, const std::string& what);
 // Every bench binary accepts `--json <path>` (or `--json=<path>`): the
 // metrics recorded through JsonMetric are written to `path` on exit as
 //
-//   {"bench": "<name>", "metrics": [
-//     {"section": "...", "name": "...", "value": ...}, ...]}
+//   {"bench": "<name>",
+//    "provenance": {"git_sha": ..., "nproc": ..., "compiler": ...,
+//                   "build_type": ..., "simd": ..., "env": {...}},
+//    "metrics": [{"section": "...", "name": "...", "value": ...}, ...]}
 //
 // so perf trajectories can be tracked across commits without parsing the
-// human-readable tables. Without the flag, recording is a no-op.
+// human-readable tables. `provenance` names the commit (HEAD of the
+// source tree, suffixed "-dirty" when its tracked sources differ, or
+// "unknown"), the machine and build, and every S4_BENCH_* variable that
+// was set. Without the flag, recording is a no-op.
 
 // Parses `--json` out of argv (call first in main). Returns the new argc
 // with the flag removed, so binaries that forward argv elsewhere (e.g.
@@ -140,11 +98,6 @@ void JsonMetric(const std::string& section, const std::string& name,
 // counter-schema field under its schema name — `searches` and peak
 // fields as they are, everything else as the per-run mean.
 void JsonRunStats(const std::string& section, const RunStats& stats);
-
-// Records the standard latency metrics (p50/p95/p99/p99.9/max/mean, in
-// milliseconds, plus the sample count) under `section`.
-void JsonLatency(const std::string& section,
-                 const LatencyHistogram::Snapshot& snapshot);
 
 // Records every entry of a metrics-registry snapshot under `section`:
 // counters/gauges as {name, value}; histograms expand to name_count,

@@ -53,16 +53,6 @@ LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
   return s;
 }
 
-void LatencyHistogram::Snapshot::Merge(const Snapshot& other) {
-  if (counts.empty()) counts.resize(kNumBuckets);
-  for (size_t b = 0; b < counts.size() && b < other.counts.size(); ++b) {
-    counts[b] += other.counts[b];
-  }
-  total += other.total;
-  sum_seconds += other.sum_seconds;
-  if (other.max_seconds > max_seconds) max_seconds = other.max_seconds;
-}
-
 double LatencyHistogram::Snapshot::PercentileSeconds(double q) const {
   if (total == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

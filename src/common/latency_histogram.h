@@ -8,12 +8,13 @@
 
 namespace s4 {
 
-// Lock-free latency histogram for the service layer: geometric buckets
+// Lock-free latency histogram behind the metrics registry's distributions
+// (obs::Histogram, e.g. s4_request_latency_seconds): geometric buckets
 // spanning 1 microsecond .. ~1 hour (~3.9% relative width), each an
 // atomic counter, so Record() from many request threads is one relaxed
 // fetch_add and never serializes the hot path. Percentile queries read a
-// relaxed snapshot — good enough for reporting (QPS dashboards, bench
-// output), not for cross-thread invariants.
+// relaxed snapshot — good enough for reporting (dashboards, the stats
+// scrape), not for cross-thread invariants or benchmark percentiles.
 class LatencyHistogram {
  public:
   static constexpr int kNumBuckets = 576;
@@ -42,11 +43,6 @@ class LatencyHistogram {
     double MeanSeconds() const {
       return total == 0 ? 0.0 : sum_seconds / static_cast<double>(total);
     }
-
-    // Folds `other` into this snapshot (bucket-wise sums, max of maxes):
-    // per-event-loop histograms stay thread-local and lock-free, and
-    // service-wide percentiles are computed from merged snapshots.
-    void Merge(const Snapshot& other);
   };
   Snapshot snapshot() const;
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 
 namespace s4 {
 
@@ -25,12 +26,24 @@ class StopToken {
   // deadlines are set at construction or via SetDeadline in place.
   explicit StopToken(double deadline_seconds) { SetDeadline(deadline_seconds); }
 
-  // Arms (or re-arms) the deadline `seconds` from now.
+  // Arms (or re-arms) the deadline `seconds` from now. A deadline past
+  // the clock's last time point (1e10 s, 1e300, +inf) never expires; a
+  // non-positive or NaN one expires immediately.
   void SetDeadline(double seconds) {
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(seconds));
-    has_deadline_ = true;
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point now = Clock::now();
+    const double ticks = std::chrono::duration<double, Clock::period>(
+                             std::chrono::duration<double>(seconds))
+                             .count();
+    // The rep's max rounds up to 2^63 as a double, so every tick count
+    // below it converts without float-to-int overflow.
+    if (ticks >= static_cast<double>(std::numeric_limits<Clock::rep>::max())) {
+      has_deadline_ = false;
+      return;
+    }
+    const Clock::rep t = ticks > 0.0 ? static_cast<Clock::rep>(ticks) : 0;
+    has_deadline_ = t <= (Clock::time_point::max() - now).count();
+    if (has_deadline_) deadline_ = now + Clock::duration(t);
   }
 
   void Cancel() { cancelled_.store(true, std::memory_order_release); }

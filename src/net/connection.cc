@@ -245,10 +245,9 @@ void Connection::SendFrame(std::string frame) {
 }
 
 void Connection::CompleteRequest(uint64_t request_id, std::string frame,
-                                 bool is_error, double server_seconds) {
+                                 bool is_error) {
   if (closed_) return;
   inflight_.erase(request_id);
-  loop_->latency().Record(server_seconds);
   auto* counters = loop_->counters();
   if (is_error) {
     counters->errors_sent.fetch_add(1, std::memory_order_relaxed);

@@ -57,7 +57,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // Completion path (posted by the dispatcher): sends the response for
   // `request_id` and retires its in-flight entry.
   void CompleteRequest(uint64_t request_id, std::string frame,
-                       bool is_error, double server_seconds);
+                       bool is_error);
 
   // Dispatcher bookkeeping.
   void RegisterInflight(uint64_t request_id,

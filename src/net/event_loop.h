@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/fd.h"
-#include "common/latency_histogram.h"
 #include "common/status.h"
 #include "net/wire.h"
 
@@ -113,10 +112,6 @@ class EventLoop {
     return num_connections_.load(std::memory_order_relaxed);
   }
 
-  // Request latencies of connections owned by this loop; merge the
-  // snapshots across loops for server-wide percentiles.
-  LatencyHistogram& latency() { return latency_; }
-
   SearchDispatcher* dispatcher() const { return dispatcher_; }
   NetServerCounters* counters() const { return counters_; }
   const ServerTuning& tuning() const { return tuning_; }
@@ -145,8 +140,6 @@ class EventLoop {
 
   // Loop-thread only.
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
-
-  LatencyHistogram latency_;
 };
 
 }  // namespace s4::net

@@ -115,14 +115,6 @@ size_t S4Server::num_connections() const {
   return n;
 }
 
-LatencyHistogram::Snapshot S4Server::latency() const {
-  LatencyHistogram::Snapshot merged;
-  for (const auto& loop : loops_) {
-    merged.Merge(loop->latency().snapshot());
-  }
-  return merged;
-}
-
 void S4Server::AcceptorMain() {
   while (!stop_.load(std::memory_order_acquire)) {
     pollfd pfd{listen_fd_.get(), POLLIN, 0};
@@ -177,11 +169,10 @@ void S4Server::Dispatch(const std::shared_ptr<Connection>& conn,
     // This runs on a service worker thread; only the owning loop may
     // touch the connection. The weak_ptr keeps a disconnected peer from
     // resurrecting: the completion just evaporates.
-    loop->Post([wconn, request_id, frame = std::move(frame), is_error,
-                server_seconds]() mutable {
+    loop->Post([wconn, request_id, frame = std::move(frame),
+                is_error]() mutable {
       if (auto c = wconn.lock(); c && !c->closed()) {
-        c->CompleteRequest(request_id, std::move(frame), is_error,
-                           server_seconds);
+        c->CompleteRequest(request_id, std::move(frame), is_error);
       }
     });
     // Notify under the lock: the moment the count hits zero, Stop()'s
@@ -204,7 +195,7 @@ void S4Server::Dispatch(const std::shared_ptr<Connection>& conn,
     }
     conn->CompleteRequest(request_id,
                           EncodeErrorFrame(stop.status(), request_id),
-                          /*is_error=*/true, SecondsSince(start));
+                          /*is_error=*/true);
     return;
   }
   conn->RegisterInflight(request_id, *stop);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/fd.h"
-#include "common/latency_histogram.h"
 #include "net/connection.h"
 #include "net/event_loop.h"
 #include "obs/trace.h"
@@ -70,9 +69,6 @@ class S4Server : public SearchDispatcher {
 
   const NetServerCounters& counters() const { return counters_; }
   size_t num_connections() const;
-  // Server-side request latency (frame arrival -> response queued),
-  // merged across event loops.
-  LatencyHistogram::Snapshot latency() const;
 
   // SearchDispatcher (called on a loop thread). A request with
   // partial_every > 0 also gets a strategy progress sink that streams

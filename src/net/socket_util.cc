@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -25,12 +26,15 @@ Status Errno(const char* what) {
 }
 
 // Remaining poll budget in milliseconds; >= 1 while time is left so a
-// sub-millisecond remainder still polls instead of busy-spinning.
+// sub-millisecond remainder still polls instead of busy-spinning. A budget
+// beyond INT_MAX ms (about 24.8 days, +inf included) saturates there; the
+// callers' loops poll again when it runs out.
 int RemainingMs(const WallTimer& timer, double timeout_seconds) {
   if (timeout_seconds <= 0.0) return -1;  // no deadline
   const double left = timeout_seconds - timer.ElapsedSeconds();
   if (left <= 0.0) return 0;
-  return static_cast<int>(left * 1e3) + 1;
+  constexpr int kMaxMs = std::numeric_limits<int>::max();
+  return static_cast<int>(std::min(kMaxMs - 1.0, left * 1e3)) + 1;
 }
 
 }  // namespace

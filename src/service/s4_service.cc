@@ -280,7 +280,6 @@ void S4Service::RunPending(Pending& p) {
   }();
   CountOutcome(result.status());
   const double elapsed = SecondsSince(p.admitted);
-  latency_.Record(elapsed);
   Counters().request_latency->Observe(elapsed);
   if (result.ok()) {
     // The strategy filled the work counters; only the service knows the
@@ -579,10 +578,6 @@ ServiceStats S4Service::stats() const {
         .Set(static_cast<int64_t>(live_->epoch()));
   }
   return s;
-}
-
-LatencyHistogram::Snapshot S4Service::latency() const {
-  return latency_.snapshot();
 }
 
 }  // namespace s4

@@ -14,7 +14,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/latency_histogram.h"
 #include "common/stop_token.h"
 #include "common/thread_pool.h"
 #include "live/live_s4.h"
@@ -223,8 +222,6 @@ class S4Service {
   void Resume();
 
   ServiceStats stats() const;
-  // End-to-end request latency (admission to completion), all requests.
-  LatencyHistogram::Snapshot latency() const;
 
   bool slow_log_enabled() const { return options_.slow_log_size > 0; }
   // Snapshot of the slow-query ring, slowest first. Empty when disabled.
@@ -332,7 +329,6 @@ class S4Service {
   std::atomic<uint64_t> slow_log_floor_bits_{0};
   uint64_t slow_log_seq_ = 0;
 
-  LatencyHistogram latency_;
   std::atomic<int64_t> accepted_{0};
   std::atomic<int64_t> rejected_{0};
   std::atomic<int64_t> completed_{0};

@@ -6,6 +6,7 @@
 // 20 seeds. Also pins down the sharding invariant: the per-shard slice
 // sizes sum to the single-node enumeration count (disjoint + covering).
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -189,6 +190,29 @@ TEST(DistShardingTest, MisroutedSliceRejectedAtAdmission) {
   EXPECT_EQ(submit(4, 1).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(submit(2, 0).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(submit(1, 0).code(), StatusCode::kFailedPrecondition);
+}
+
+// An infinite deadline is no deadline: the coordinator makes it its
+// budget, grants each shard a slice of it and polls the sockets against
+// it, and none of that may overflow into an instant expiry.
+TEST(DistDeadlineTest, InfiniteDeadlineCompletes) {
+  auto sys = S4System::Create(s4::testing::TpchDb());
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  SearchOptions options;
+  options.k = 5;
+  options.num_threads = 2;
+  const Cells cells = {{"Rick", "USA"}, {"Kevin", "Canada"}};
+  auto ref = (*sys)->Search(cells, options, S4System::Strategy::kFastTopK);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+
+  DistHarness h(**sys, 2);
+  options.deadline_seconds = std::numeric_limits<double>::infinity();
+  auto got = h.coordinator->Search(net::NetSearchRequest::From(
+      cells, options, S4System::Strategy::kFastTopK));
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got->complete);
+  EXPECT_TRUE(got->unreached_shards.empty());
+  ExpectBitIdentical(*ref, *got, "deadline=inf");
 }
 
 // End-to-end observability across the fleet: a traced+profiled search

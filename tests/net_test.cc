@@ -405,6 +405,29 @@ TEST(NetProtocolTest, DeadlineExceededMapsToTypedStatus) {
   EXPECT_FALSE(IsRetryable(result.status().code()));
 }
 
+// A deadline too large for the clock (here +inf, which passes option
+// validation) means no deadline: the search runs to completion with the
+// same top-k as one that set none, instead of expiring before its first
+// batch.
+TEST(NetProtocolTest, InfiniteDeadlineRunsToCompletion) {
+  ServerHarness h;
+  S4Client client(h.MakeClientOptions());
+  SearchOptions options = BaseOptions();
+  auto ref = client.Search(NetSearchRequest::From(
+      TestSheets()[0], options, S4System::Strategy::kFastTopK));
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  options.deadline_seconds = std::numeric_limits<double>::infinity();
+  auto got = client.Search(NetSearchRequest::From(
+      TestSheets()[0], options, S4System::Strategy::kFastTopK));
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_FALSE(got->interrupted);
+  ASSERT_EQ(got->topk.size(), ref->topk.size());
+  for (size_t i = 0; i < ref->topk.size(); ++i) {
+    EXPECT_EQ(got->topk[i].signature, ref->topk[i].signature) << i;
+    EXPECT_EQ(got->topk[i].score, ref->topk[i].score) << i;
+  }
+}
+
 TEST(NetProtocolTest, BackpressureMapsToRetryableResourceExhausted) {
   ServiceOptions service_opts;
   service_opts.num_workers = 1;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "service/s4_service.h"
 #include "tests/test_util.h"
 
@@ -320,6 +321,56 @@ TEST(ServiceCancellationTest, QueuedRequestCancelsCleanly) {
   again.cells = TestSheets()[0];
   again.options = BaseOptions();
   EXPECT_TRUE(service.Search(std::move(again)).ok());
+}
+
+// s4_request_latency_seconds is the one record of admission-to-completion
+// latency: every request a worker runs lands in it exactly once, whatever
+// its outcome, and a request rejected at admission never runs. The
+// registry is process-wide, so the test reads the count's growth.
+TEST(ServiceLatencyTest, EveryRunRequestRecordedOnce) {
+  const obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
+      "s4_request_latency_seconds");
+  const int64_t before = latency.Snapshot().total;
+  ServiceOptions sopts;
+  sopts.num_workers = 1;
+  sopts.max_queue = 1;
+  S4Service service(System(), sopts);
+  auto make_request = [] {
+    ServiceRequest req;
+    req.cells = TestSheets()[1];
+    req.options = BaseOptions();
+    return req;
+  };
+
+  constexpr int kSearches = 3;
+  for (int i = 0; i < kSearches; ++i) {
+    auto r = service.Search(make_request());
+    ASSERT_TRUE(r.ok()) << r.status();
+  }
+
+  // A deadline miss, admitted while paused and pre-expired in place (the
+  // TinyDeadline idiom), fills the queue, so the next request is rejected.
+  service.Pause();
+  ServiceRequest doomed_req = make_request();
+  doomed_req.options.deadline_seconds = 1e-9;
+  auto doomed = service.Submit(std::move(doomed_req));
+  ASSERT_TRUE(doomed.ok()) << doomed.status();
+  doomed->stop->SetDeadline(-1.0);
+  auto rejected = service.Submit(make_request());
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+  service.Resume();
+  EXPECT_EQ(doomed->result.get().status().code(),
+            StatusCode::kDeadlineExceeded);
+
+  service.Pause();
+  auto cancelled = service.Submit(make_request());
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status();
+  cancelled->stop->Cancel();
+  service.Resume();
+  EXPECT_EQ(cancelled->result.get().status().code(), StatusCode::kCancelled);
+
+  EXPECT_EQ(latency.Snapshot().total - before, kSearches + 2);
 }
 
 TEST(ServicePriorityTest, HigherPriorityRunsFirst) {

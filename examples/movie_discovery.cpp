@@ -36,7 +36,9 @@ int main() {
   std::printf("AND semantics (every column must map): %zu results\n",
               and_result.topk.size());
 
-  SearchResult or_result = (*s4)->SearchOr(*sheet, options);
+  SearchOptions or_options = options;
+  or_options.enumeration.or_semantics = true;
+  SearchResult or_result = (*s4)->Search(*sheet, or_options);
   std::printf("OR semantics (columns may stay unmapped): %zu results\n",
               or_result.topk.size());
   if (!or_result.topk.empty()) {

@@ -17,8 +17,10 @@ struct EnumerationOptions {
   // Hard cap on emitted candidate queries (safety valve for adversarial
   // schemas; enumeration stops once reached).
   int64_t max_queries = 500000;
-  // Columns of the example spreadsheet to map. Empty = all columns
-  // (AND semantics). The OR-semantics driver passes proper subsets.
+  // Columns of the example spreadsheet to map. Empty = all columns.
+  // A proper subset searches that projection of the spreadsheet alone;
+  // the OR enumeration below is the disjoint union of these over every
+  // non-empty subset, which the differential tests check.
   std::vector<int32_t> active_columns;
   // OR-column-mapping semantics (Appendix A.3, "more direct way"):
   // candidates may map any non-empty subset of the active columns, i.e.

@@ -150,6 +150,15 @@ NetSearchRequest NetSearchRequest::From(
   return req;
 }
 
+Status CheckWireCarries(const NetSearchRequest& req) {
+  if (req.options.enumeration.or_semantics) {
+    return Status::InvalidArgument(
+        "options.enumeration.or_semantics does not travel on the wire; "
+        "OR column mapping is an in-process search only");
+  }
+  return Status::OK();
+}
+
 std::string EncodeSearchRequestFrame(const NetSearchRequest& req,
                                      uint64_t request_id) {
   WireWriter w;

@@ -401,6 +401,16 @@ std::string EncodeSlowLogRequestFrame(uint64_t request_id);
 std::string EncodeSlowLogResponseFrame(std::string_view json,
                                        uint64_t request_id);
 
+// Rejects, with InvalidArgument naming the field, a request whose
+// options set something that changes the answer but is not in
+// Fields(Msg<NetSearchRequest>): a remote search would run without it
+// and answer differently from an in-process one. Today that is
+// options.enumeration.or_semantics, which would arrive false, so an OR
+// search would be answered under AND. The sending entry points
+// (S4Client::Search, S4Coordinator::Search) call it before anything is
+// sent.
+Status CheckWireCarries(const NetSearchRequest& req);
+
 // --- payload decode (bounds-checked; never reads past `payload`) -------
 
 Status DecodeSearchRequest(std::string_view payload, NetSearchRequest* req);

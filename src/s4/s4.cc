@@ -69,11 +69,6 @@ SearchResult S4System::Search(const ExampleSpreadsheet& sheet,
   return SearchFastTopK(*index_, graph_, sheet, options);
 }
 
-SearchResult S4System::SearchOr(const ExampleSpreadsheet& sheet,
-                                const SearchOptions& options) const {
-  return SearchOrSemantics(*index_, graph_, sheet, options);
-}
-
 StatusOr<QueryOutput> S4System::Preview(const PJQuery& query,
                                         const ExampleSpreadsheet& sheet,
                                         const OutputOptions& options) const {

@@ -7,7 +7,6 @@
 
 #include "exec/query_output.h"
 #include "strategy/incremental.h"
-#include "strategy/or_semantics.h"
 #include "strategy/strategy.h"
 
 namespace s4 {
@@ -55,8 +54,9 @@ class S4System {
   // One-shot top-k search from raw spreadsheet cells (rows x columns;
   // empty strings are empty cells). Validates Def 1.
   // SearchOptions::num_threads controls Stage-II evaluation parallelism
-  // for all Search/SearchOr/session entry points; every thread count
-  // returns the same top-k sets and scores.
+  // for the Search and session entry points; every thread count returns
+  // the same top-k sets and scores. OR column mapping (Appendix A.3) is
+  // options.enumeration.or_semantics, honoured by every strategy.
   StatusOr<SearchResult> Search(
       const std::vector<std::vector<std::string>>& cells,
       const SearchOptions& options = {},
@@ -66,10 +66,6 @@ class S4System {
   SearchResult Search(const ExampleSpreadsheet& sheet,
                       const SearchOptions& options = {},
                       Strategy strategy = Strategy::kFastTopK) const;
-
-  // OR-column-mapping search (Appendix A.3).
-  SearchResult SearchOr(const ExampleSpreadsheet& sheet,
-                        const SearchOptions& options = {}) const;
 
   // Starts an incremental session (Sec 5.4) that reuses evaluation
   // results across spreadsheet edits.

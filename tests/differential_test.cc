@@ -1,10 +1,14 @@
 // Strategy-equivalence differential suite: across randomly generated
 // schemas, NAIVE, BASELINE and FASTTOPK must return the same top-k sets
-// and scores (Thm 1 / Thm 3) at every thread count. The serial NAIVE
-// run is the reference; every other (strategy, num_threads) combination
-// is compared against it rank-by-rank.
+// and scores (Thm 1 / Thm 3) at every thread count, under AND and under
+// OR column mapping. The serial NAIVE run is the reference; every other
+// (strategy, num_threads) combination is compared against it
+// rank-by-rank.
 #include <cmath>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,51 +45,82 @@ void ExpectEquivalentTopK(const SearchResult& ref, const SearchResult& got,
   }
 }
 
-class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+// Rank-by-rank bit identity: the same score (==, no tolerance) and the
+// same signature at every rank, ties included.
+void ExpectBitIdenticalTopK(const SearchResult& ref, const SearchResult& got,
+                            const std::string& label) {
+  ASSERT_EQ(ref.topk.size(), got.topk.size()) << label;
+  for (size_t i = 0; i < ref.topk.size(); ++i) {
+    EXPECT_EQ(ref.topk[i].score, got.topk[i].score) << label << " rank " << i;
+    EXPECT_EQ(ref.topk[i].query.signature(), got.topk[i].query.signature())
+        << label << " rank " << i;
+  }
+}
+
+class DifferentialTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void SetUp() override {
+    seed_ = GetParam();
+    opts_.seed = seed_;
+    opts_.num_tables = 4 + static_cast<int32_t>(seed_ % 4);
+    auto db = datagen::MakeRandomSchema(opts_);
+    ASSERT_TRUE(db.ok()) << db.status();
+    db_ = std::move(db).value();
+    auto index = IndexSet::Build(db_);
+    ASSERT_TRUE(index.ok());
+    index_ = std::move(index).value();
+    graph_ = std::make_unique<SchemaGraph>(db_);
+  }
+
+  // Random two-row spreadsheet over the generator's shared vocabulary:
+  // each cell holds one word, or two with probability 0.4.
+  StatusOr<ExampleSpreadsheet> RandomSheet(int cols) const {
+    Rng rng(seed_ * 131 + 7);
+    std::vector<std::vector<std::string>> cells(2);
+    for (auto& row : cells) {
+      for (int c = 0; c < cols; ++c) {
+        std::string cell = StrFormat(
+            "w%lld", static_cast<long long>(rng.Uniform(opts_.vocab_size)));
+        if (rng.Bernoulli(0.4)) {
+          cell += StrFormat(
+              " w%lld",
+              static_cast<long long>(rng.Uniform(opts_.vocab_size)));
+        }
+        row.push_back(cell);
+      }
+    }
+    return ExampleSpreadsheet::FromCells(cells, index_->tokenizer());
+  }
+
+  static SearchOptions BaseOptions() {
+    SearchOptions base;
+    base.k = 5;
+    base.enumeration.max_tree_size = 3;
+    base.enumeration.max_queries = 4000;
+    base.num_threads = 1;
+    return base;
+  }
+
+  uint64_t seed_ = 0;
+  datagen::RandomSchemaOptions opts_;
+  Database db_;
+  std::unique_ptr<IndexSet> index_;
+  std::unique_ptr<SchemaGraph> graph_;
+};
 
 TEST_P(DifferentialTest, StrategiesAgreeAcrossThreadCounts) {
-  const uint64_t seed = GetParam();
-  datagen::RandomSchemaOptions opts;
-  opts.seed = seed;
-  opts.num_tables = 4 + static_cast<int32_t>(seed % 4);
-  auto db = datagen::MakeRandomSchema(opts);
-  ASSERT_TRUE(db.ok()) << db.status();
-
-  auto index = IndexSet::Build(*db);
-  ASSERT_TRUE(index.ok());
-  SchemaGraph graph(*db);
-
-  // Random spreadsheet over the generator's shared vocabulary.
-  Rng rng(seed * 131 + 7);
-  std::vector<std::vector<std::string>> cells(2);
-  for (auto& row : cells) {
-    for (int c = 0; c < 2; ++c) {
-      std::string cell = StrFormat(
-          "w%lld", static_cast<long long>(rng.Uniform(opts.vocab_size)));
-      if (rng.Bernoulli(0.4)) {
-        cell += StrFormat(
-            " w%lld",
-            static_cast<long long>(rng.Uniform(opts.vocab_size)));
-      }
-      row.push_back(cell);
-    }
-  }
-  auto sheet = ExampleSpreadsheet::FromCells(cells, (*index)->tokenizer());
+  auto sheet = RandomSheet(2);
   ASSERT_TRUE(sheet.ok());
 
-  SearchOptions base;
-  base.k = 5;
-  base.enumeration.max_tree_size = 3;
-  base.enumeration.max_queries = 4000;
-  base.num_threads = 1;
-  PreparedSearch prep(**index, graph, *sheet, base);
+  const SearchOptions base = BaseOptions();
+  PreparedSearch prep(*index_, *graph_, *sheet, base);
   SearchResult ref = RunNaive(prep, base);
 
   for (int32_t threads : {1, 4}) {
     SearchOptions options = base;
     options.num_threads = threads;
     const std::string suffix =
-        " seed=" + std::to_string(seed) + " T=" + std::to_string(threads);
+        " seed=" + std::to_string(seed_) + " T=" + std::to_string(threads);
     SearchResult naive = RunNaive(prep, options);
     SearchResult baseline = RunBaseline(prep, options);
     SearchResult fast = RunFastTopK(prep, options);
@@ -101,6 +136,68 @@ TEST_P(DifferentialTest, StrategiesAgreeAcrossThreadCounts) {
     EXPECT_LE(fast.stats.queries_evaluated + fast.stats.skipped_by_condition,
               naive.stats.queries_evaluated)
         << suffix;
+  }
+}
+
+// OR column mapping (Appendix A.3). The one extended enumeration is the
+// disjoint union of the per-subset enumerations, one per non-empty set
+// of mapped columns, with bit-identical upper bounds (the paper's
+// "simple extension" and "more direct way" search the same space).
+TEST_P(DifferentialTest, OrEnumerationIsDisjointSubsetUnion) {
+  constexpr int kCols = 3;
+  auto sheet = RandomSheet(kCols);
+  ASSERT_TRUE(sheet.ok());
+
+  SearchOptions or_options = BaseOptions();
+  or_options.enumeration.or_semantics = true;
+  PreparedSearch direct(*index_, *graph_, *sheet, or_options);
+  ASSERT_FALSE(direct.enum_stats.truncated);
+  std::map<std::string, double> direct_ub;
+  for (const CandidateQuery& c : direct.candidates) {
+    direct_ub.emplace(c.query.signature(), c.upper_bound);
+  }
+  ASSERT_EQ(direct_ub.size(), direct.candidates.size());
+
+  std::map<std::string, double> union_ub;
+  for (int mask = 1; mask < (1 << kCols); ++mask) {
+    SearchOptions options = BaseOptions();
+    for (int32_t c = 0; c < kCols; ++c) {
+      if (mask & (1 << c)) options.enumeration.active_columns.push_back(c);
+    }
+    PreparedSearch subset(*index_, *graph_, *sheet, options);
+    ASSERT_FALSE(subset.enum_stats.truncated);
+    for (const CandidateQuery& c : subset.candidates) {
+      EXPECT_TRUE(union_ub.emplace(c.query.signature(), c.upper_bound).second)
+          << "seed=" << seed_ << " mask=" << mask << " repeats "
+          << c.query.signature();
+    }
+  }
+  // Exact map equality: same signatures, bit-identical bounds.
+  EXPECT_TRUE(direct_ub == union_ub)
+      << "seed=" << seed_ << " direct " << direct_ub.size() << " union "
+      << union_ub.size();
+}
+
+// Every strategy honours or_semantics: BASELINE and FASTTOPK at 1 and 4
+// threads are bit-identical to serial NAIVE, rank by rank.
+TEST_P(DifferentialTest, OrStrategiesAreBitIdentical) {
+  auto sheet = RandomSheet(3);
+  ASSERT_TRUE(sheet.ok());
+
+  SearchOptions base = BaseOptions();
+  base.enumeration.or_semantics = true;
+  PreparedSearch prep(*index_, *graph_, *sheet, base);
+  SearchResult ref = RunNaive(prep, base);
+
+  for (int32_t threads : {1, 4}) {
+    SearchOptions options = base;
+    options.num_threads = threads;
+    const std::string suffix =
+        " seed=" + std::to_string(seed_) + " T=" + std::to_string(threads);
+    ExpectBitIdenticalTopK(ref, RunBaseline(prep, options),
+                           "baseline" + suffix);
+    ExpectBitIdenticalTopK(ref, RunFastTopK(prep, options),
+                           "fasttopk" + suffix);
   }
 }
 

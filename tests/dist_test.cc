@@ -215,6 +215,27 @@ TEST(DistDeadlineTest, InfiniteDeadlineCompletes) {
   ExpectBitIdentical(*ref, *got, "deadline=inf");
 }
 
+// The coordinator forwards the wire's subset of SearchOptions, which
+// leaves OR column mapping out, so its shards would answer under AND. It
+// refuses the request, naming the field, before any shard is contacted.
+TEST(DistShardingTest, OrSemanticsRefusedBeforeScatter) {
+  auto sys = S4System::Create(s4::testing::TpchDb());
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  DistHarness h(**sys, 2);
+  SearchOptions options;
+  options.k = 5;
+  options.enumeration.or_semantics = true;
+  auto got = h.coordinator->Search(net::NetSearchRequest::From(
+      {{"Xbox", "zzznothing"}}, options, S4System::Strategy::kFastTopK));
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(got.status().message().find("or_semantics"), std::string::npos)
+      << got.status();
+  for (const auto& server : h.servers) {
+    EXPECT_EQ(server->counters().frames_received.load(), 0);
+  }
+}
+
 // End-to-end observability across the fleet: a traced+profiled search
 // over real loopback shards must come back with (a) one row per shard
 // whose counter record folds into the merged RunStats, and (b) a

@@ -315,6 +315,27 @@ TEST(NetProtocolTest, ClientRefusesPartialCadence) {
   EXPECT_EQ(h.server->counters().connections_accepted.load(), 1);
 }
 
+// OR column mapping does not travel on the wire (the search request's
+// field list leaves options.enumeration.or_semantics out), so a server
+// would answer an OR request under AND. The client refuses it, naming
+// the field, before anything is sent.
+TEST(NetProtocolTest, ClientRefusesOrSemantics) {
+  ServerHarness h;
+  S4Client client(h.MakeClientOptions());
+  ASSERT_TRUE(client.Ping().ok());
+  const int64_t frames = h.server->counters().frames_received.load();
+  SearchOptions options = BaseOptions();
+  options.enumeration.or_semantics = true;
+  auto refused = client.Search(NetSearchRequest::From(
+      TestSheets()[0], options, S4System::Strategy::kFastTopK));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("or_semantics"),
+            std::string::npos)
+      << refused.status();
+  EXPECT_EQ(h.server->counters().frames_received.load(), frames);
+}
+
 TEST(NetProtocolTest, GarbageStreamClosedWithoutResponse) {
   ServerHarness h;
   auto fd = h.RawConnect();

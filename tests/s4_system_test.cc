@@ -86,7 +86,8 @@ TEST(S4SystemTest, SearchOrFindsPartialMappings) {
   SearchOptions options;
   SearchResult and_result = System().Search(*sheet, options);
   EXPECT_TRUE(and_result.topk.empty());
-  SearchResult or_result = System().SearchOr(*sheet, options);
+  options.enumeration.or_semantics = true;
+  SearchResult or_result = System().Search(*sheet, options);
   ASSERT_FALSE(or_result.topk.empty());
   bool mentions_part = false;
   for (const ScoredQuery& sq : or_result.topk) {

@@ -9,9 +9,7 @@
 //   * priorities and admission control (a burst beyond the queue bound
 //     is rejected with ResourceExhausted, not buffered);
 //   * deadlines and cancellation (a doomed request fails fast with
-//     DeadlineExceeded and never corrupts shared state);
-//   * an incremental session surviving across requests while the
-//     one-shot traffic runs.
+//     DeadlineExceeded and never corrupts shared state).
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -106,19 +104,6 @@ int main() {
     service.Resume();
     std::printf("cancelled request:    %s\n",
                 ticket->result.get().status().ToString().c_str());
-  }
-
-  // --- an incremental session among the one-shot traffic ---------------
-  auto session = service.OpenSession();
-  if (session.ok()) {
-    auto first = service.SessionSearch(*session, {{"Rick", "USA"}});
-    auto second =
-        service.SessionSearch(*session, {{"Rick", "USA"}, {"Kevin", "Canada"}});
-    if (first.ok() && second.ok()) {
-      std::printf("session: %zu then %zu results as the user kept typing\n",
-                  first->topk.size(), second->topk.size());
-    }
-    (void)service.CloseSession(*session);
   }
 
   stats = service.stats();

@@ -355,7 +355,6 @@ StatusOr<DistSearchResult> S4Coordinator::Search(
         StrFormat("coordinator has %zu shards; the wire caps at %d", n,
                   net::kMaxWireShards));
   }
-  S4_RETURN_IF_ERROR(net::CheckWireCarries(request));
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("s4_dist_searches").Increment();
 

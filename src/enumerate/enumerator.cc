@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/string_util.h"
 #include "index/column_ids.h"
 #include "score/score_model.h"
 
@@ -151,10 +152,27 @@ class Assigner {
 
 }  // namespace
 
+Status ValidateActiveColumns(const EnumerationOptions& options,
+                             int32_t num_columns) {
+  std::vector<bool> mapped(num_columns, false);
+  for (int32_t c : options.active_columns) {
+    if (c < 0 || c >= num_columns || mapped[c]) {
+      return Status::InvalidArgument(StrFormat(
+          "enumeration.active_columns entry %d is out of range or repeated "
+          "for a %d-column spreadsheet",
+          c, num_columns));
+    }
+    mapped[c] = true;
+  }
+  return Status::OK();
+}
+
 EnumerationResult EnumerateCandidates(const SchemaGraph& graph,
                                       const ScoreContext& ctx,
                                       const EnumerationOptions& options) {
   EnumerationResult result;
+  // Per-column state below is indexed by these entries unchecked.
+  if (!ValidateActiveColumns(options, ctx.NumEsColumns()).ok()) return result;
 
   std::vector<int32_t> active = options.active_columns;
   if (active.empty()) {

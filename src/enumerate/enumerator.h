@@ -1,6 +1,8 @@
 #ifndef S4_ENUMERATE_ENUMERATOR_H_
 #define S4_ENUMERATE_ENUMERATOR_H_
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -10,14 +12,20 @@
 
 namespace s4 {
 
+// Largest EnumerationOptions::max_queries: the enumerator caps explored
+// trees at max_queries * 4 + 4096, which must not overflow.
+inline constexpr int64_t kMaxEnumerationQueries =
+    (std::numeric_limits<int64_t>::max() - 4096) / 4;
+
 struct EnumerationOptions {
   // Maximum number of relations |J| in a join tree (candidate-network
   // size cap, standard in keyword-search enumeration [5,12,13]).
   int32_t max_tree_size = 5;
   // Hard cap on emitted candidate queries (safety valve for adversarial
-  // schemas; enumeration stops once reached).
+  // schemas; enumeration stops once reached). In [1, kMaxEnumerationQueries].
   int64_t max_queries = 500000;
-  // Columns of the example spreadsheet to map. Empty = all columns.
+  // Columns of the example spreadsheet to map, each a distinct column
+  // index (see ValidateActiveColumns). Empty = all columns.
   // A proper subset searches that projection of the spreadsheet alone;
   // the OR enumeration below is the disjoint union of these over every
   // non-empty subset, which the differential tests check.
@@ -52,6 +60,12 @@ struct EnumerationResult {
   std::vector<CandidateQuery> candidates;
   EnumerationStats stats;
 };
+
+// InvalidArgument unless every options.active_columns entry is a distinct
+// column index of a `num_columns`-column spreadsheet. S4System::Search
+// reports it; EnumerateCandidates yields no candidates for such a list.
+Status ValidateActiveColumns(const EnumerationOptions& options,
+                             int32_t num_columns);
 
 // Enumerates the candidate set Q_C of minimal PJ queries for the
 // spreadsheet behind `ctx` (Sec 4.1.1): grows connected subtrees of the

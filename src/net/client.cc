@@ -115,7 +115,6 @@ StatusOr<NetSearchResponse> S4Client::Search(
     return Status::InvalidArgument(
         "S4Client::Search cannot receive partials (partial_every > 0)");
   }
-  S4_RETURN_IF_ERROR(CheckWireCarries(request));
   auto payload = Exchange(
       [&](uint64_t id) { return EncodeSearchRequestFrame(request, id); },
       FrameType::kSearchResponse, request_id_out);

@@ -7,7 +7,7 @@
 
 namespace s4::net {
 
-// --- S4 wire protocol v5 ----------------------------------------------
+// --- S4 wire protocol v6 ----------------------------------------------
 //
 // Every frame on the wire is a fixed 20-byte header followed by a
 // type-specific payload, all integers little-endian:
@@ -44,10 +44,12 @@ inline constexpr uint32_t kMagic = 0x53345750u;  // "S4WP"
 // request gained the slice, partial cadence and trace context, the
 // search response gained the optional trace segment, kShardPartial
 // carries the whole RunStats record, and the frame types from
-// kShardPartial on were renumbered to close the two freed slots. Both
-// sides must agree — the header version check rejects older peers with
-// FailedPrecondition before any payload is parsed.
-inline constexpr uint8_t kProtocolVersion = 5;
+// kShardPartial on were renumbered to close the two freed slots. v6
+// carries options.enumeration whole, so an OR search answers as it does
+// in-process. Both sides must agree — the
+// header version check rejects older peers with FailedPrecondition
+// before any payload is parsed.
+inline constexpr uint8_t kProtocolVersion = 6;
 inline constexpr size_t kHeaderBytes = 20;
 
 // Frames larger than this are rejected with InvalidArgument and the
@@ -91,6 +93,14 @@ inline bool IsValidFrameType(uint8_t t) {
          t <= static_cast<uint8_t>(FrameType::kSlowLogResponse);
 }
 
+// Decode-side caps on a search request's spreadsheet, all far above
+// anything a legitimate request carries but small enough that a hostile
+// frame cannot make the decoder allocate unbounded vectors before the
+// byte-level bounds checks bite.
+inline constexpr uint32_t kMaxWireRows = 4096;
+inline constexpr uint32_t kMaxWireCols = 4096;
+inline constexpr uint64_t kMaxWireCells = 1u << 20;
+
 // Decode-side cap on a search request's options.shard_count: far above any
 // deployment this code targets, small enough that a hostile frame cannot
 // claim an absurd topology.
@@ -109,6 +119,12 @@ inline constexpr uint32_t kMaxWireMutationValues = 4096;
 // from pinning a worker on one candidate for minutes.
 inline constexpr double kMaxWireApproxEpsilon = 1e6;
 inline constexpr int64_t kMaxWireSampleBudget = int64_t{1} << 32;
+
+// Decode-side caps on options.enumeration: enumeration runs before any
+// deadline or cancel poll, so these bound its time and memory. The query
+// cap is the EnumerationOptions default.
+inline constexpr int32_t kMaxWireQueries = 500000;
+inline constexpr int32_t kMaxWireTreeSize = 8;
 
 // Cap on the top-k entries one response or partial carries: far above
 // any k a caller asks for, small enough that a hostile count cannot

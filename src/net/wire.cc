@@ -9,13 +9,6 @@ namespace s4::net {
 
 namespace {
 
-// Decode-side sanity caps, all far above anything a legitimate request
-// carries but small enough that a hostile frame cannot make the decoder
-// allocate unbounded vectors before the byte-level bounds checks bite.
-constexpr uint32_t kMaxRows = 4096;
-constexpr uint32_t kMaxCols = 4096;
-constexpr uint64_t kMaxCells = 1u << 20;
-
 std::string FinishFrame(FrameType type, uint64_t request_id,
                         std::string payload) {
   FrameHeader h;
@@ -150,15 +143,6 @@ NetSearchRequest NetSearchRequest::From(
   return req;
 }
 
-Status CheckWireCarries(const NetSearchRequest& req) {
-  if (req.options.enumeration.or_semantics) {
-    return Status::InvalidArgument(
-        "options.enumeration.or_semantics does not travel on the wire; "
-        "OR column mapping is an in-process search only");
-  }
-  return Status::OK();
-}
-
 std::string EncodeSearchRequestFrame(const NetSearchRequest& req,
                                      uint64_t request_id) {
   WireWriter w;
@@ -181,8 +165,8 @@ Status DecodeSearchRequest(std::string_view payload, NetSearchRequest* req) {
   r.Read(rows);
   r.Read(cols);
   if (!r.ok()) return r.Finish();
-  if (rows > kMaxRows || cols > kMaxCols ||
-      static_cast<uint64_t>(rows) * cols > kMaxCells) {
+  if (rows > kMaxWireRows || cols > kMaxWireCols ||
+      static_cast<uint64_t>(rows) * cols > kMaxWireCells) {
     return Status::InvalidArgument(
         StrFormat("request spreadsheet %u x %u exceeds wire limits", rows,
                   cols));
@@ -200,12 +184,15 @@ Status DecodeSearchRequest(std::string_view payload, NetSearchRequest* req) {
   S4_RETURN_IF_ERROR(ValidateSearchOptions(o));
   if (!(o.approx_epsilon <= kMaxWireApproxEpsilon) ||
       o.sample_budget > kMaxWireSampleBudget ||
-      o.shard_count > kMaxWireShards) {
+      o.shard_count > kMaxWireShards ||
+      o.enumeration.max_queries > kMaxWireQueries ||
+      o.enumeration.max_tree_size > kMaxWireTreeSize) {
     return Status::InvalidArgument(StrFormat(
         "request exceeds the wire caps (approx_epsilon <= %g, "
-        "sample_budget <= %lld, shard_count <= %d)",
+        "sample_budget <= %lld, shard_count <= %d, "
+        "enumeration.max_queries <= %d, enumeration.max_tree_size <= %d)",
         kMaxWireApproxEpsilon, static_cast<long long>(kMaxWireSampleBudget),
-        kMaxWireShards));
+        kMaxWireShards, kMaxWireQueries, kMaxWireTreeSize));
   }
   return Status::OK();
 }

@@ -144,6 +144,17 @@ struct NetSearchRequest {
                                int32_t priority = 0);
 };
 
+// The enumeration options travel whole. A request cannot name more
+// active columns than the wire lets a spreadsheet have.
+template <class F, class... M>
+void Fields(Msg<EnumerationOptions>, F&& f, M&&... m) {
+  f(m.max_tree_size...);
+  f(m.max_queries...);
+  f(Capped<kMaxWireCols>(m.active_columns)...);
+  f(m.or_semantics...);
+  f(m.cost_aware_rooting...);
+}
+
 // After the cells, which the codec writes by hand (a rows x cols
 // rectangle with its own caps).
 template <class F, class... M>
@@ -159,7 +170,7 @@ void Fields(Msg<NetSearchRequest>, F&& f, M&&... m) {
   f(m.options.score.spelling_edits...);
   f(m.options.drop_zero_rows...);
   f(m.options.num_threads...);
-  f(m.options.enumeration.max_tree_size...);
+  f(m.options.enumeration...);
   f(m.options.cache_budget_bytes...);
   f(m.options.approx_epsilon...);
   f(m.options.approx_confidence...);
@@ -400,16 +411,6 @@ std::string EncodeMutateResponseFrame(const NetMutateResponse& resp,
 std::string EncodeSlowLogRequestFrame(uint64_t request_id);
 std::string EncodeSlowLogResponseFrame(std::string_view json,
                                        uint64_t request_id);
-
-// Rejects, with InvalidArgument naming the field, a request whose
-// options set something that changes the answer but is not in
-// Fields(Msg<NetSearchRequest>): a remote search would run without it
-// and answer differently from an in-process one. Today that is
-// options.enumeration.or_semantics, which would arrive false, so an OR
-// search would be answered under AND. The sending entry points
-// (S4Client::Search, S4Coordinator::Search) call it before anything is
-// sent.
-Status CheckWireCarries(const NetSearchRequest& req);
 
 // --- payload decode (bounds-checked; never reads past `payload`) -------
 

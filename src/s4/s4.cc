@@ -19,6 +19,8 @@ StatusOr<SearchResult> S4System::Search(
   auto sheet = MakeSpreadsheet(cells);
   if (!sheet.ok()) return sheet.status();
   S4_RETURN_IF_ERROR(sheet->Validate());
+  S4_RETURN_IF_ERROR(
+      ValidateActiveColumns(options.enumeration, sheet->NumColumns()));
   // A requested deadline without a caller-armed token gets one here, so
   // one-shot searches honor deadlines without going through S4Service.
   if (options.deadline_seconds > 0.0 && options.stop == nullptr) {

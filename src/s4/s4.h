@@ -52,7 +52,7 @@ class S4System {
   IndexStats index_stats() const { return index_->stats(); }
 
   // One-shot top-k search from raw spreadsheet cells (rows x columns;
-  // empty strings are empty cells). Validates Def 1.
+  // empty strings are empty cells). Validates Def 1 and the options.
   // SearchOptions::num_threads controls Stage-II evaluation parallelism
   // for the Search and session entry points; every thread count returns
   // the same top-k sets and scores. OR column mapping (Appendix A.3) is

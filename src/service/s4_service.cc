@@ -388,92 +388,6 @@ std::string S4Service::SlowLogJson() const {
   return out;
 }
 
-StatusOr<uint64_t> S4Service::OpenSession(SearchOptions options) {
-  S4_RETURN_IF_ERROR(ValidateSearchOptions(options));
-  // Sessions share the service pool; per-call fields (stop token, cache
-  // prefix) are re-pointed by SessionSearch under the session lock.
-  options.pool = pool_.get();
-  options.shared_cache = &shared_cache_;
-  // Live deployments: a session pins the epoch it opened against for its
-  // whole life — its incremental state (Sec 5.4) indexes into that
-  // epoch's candidate space, so hopping epochs mid-session would corrupt
-  // the reuse bookkeeping. Re-open a session to pick up newer writes.
-  std::shared_ptr<const S4System> pinned =
-      live_ != nullptr ? live_->current() : nullptr;
-  const S4System* sys = pinned != nullptr ? pinned.get() : system_;
-  auto entry = std::make_unique<SessionEntry>(sys->NewSession(options));
-  entry->pinned = std::move(pinned);
-  entry->sys = sys;
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  const uint64_t id = next_session_id_++;
-  sessions_.emplace(id, std::move(entry));
-  return id;
-}
-
-StatusOr<SearchResult> S4Service::SessionSearch(
-    uint64_t session_id, const std::vector<std::vector<std::string>>& cells,
-    IncrementalMode mode) {
-  SessionEntry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) {
-      return Status::NotFound(
-          StrFormat("no session %llu",
-                    static_cast<unsigned long long>(session_id)));
-    }
-    entry = it->second.get();
-  }
-  // One search at a time per session (the history is conversational
-  // state); distinct sessions run concurrently. CloseSession never frees
-  // an entry mid-search: it also takes this per-entry lock.
-  std::lock_guard<std::mutex> lock(entry->mu);
-  auto sheet = entry->sys->MakeSpreadsheet(cells);
-  if (!sheet.ok()) return sheet.status();
-  SearchOptions& so = entry->session.mutable_options();
-  so.shared_cache_prefix = CachePrefix(cells, so);
-  // A stop token supplied at OpenSession is honoured across every search
-  // in the session (cooperative session-level cancellation, and a
-  // deterministic expiry hook for tests); otherwise a per-search token
-  // is armed from the session deadline.
-  const StopToken* caller_stop = so.stop;
-  StopToken token;
-  if (caller_stop == nullptr && so.deadline_seconds > 0.0) {
-    token.SetDeadline(so.deadline_seconds);
-    so.stop = &token;
-  }
-  SearchResult result = entry->session.Search(*sheet, mode);
-  so.stop = caller_stop;  // never leave the stack token dangling
-  Status status = Status::OK();
-  if (result.interrupted) {
-    status = caller_stop != nullptr && caller_stop->cancelled()
-                 ? Status::Cancelled("session search cancelled")
-                 : Status::DeadlineExceeded(
-                       "session search exceeded its deadline");
-  }
-  CountOutcome(status);
-  if (!status.ok()) return status;
-  return result;
-}
-
-Status S4Service::CloseSession(uint64_t session_id) {
-  std::unique_ptr<SessionEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) {
-      return Status::NotFound(
-          StrFormat("no session %llu",
-                    static_cast<unsigned long long>(session_id)));
-    }
-    entry = std::move(it->second);
-    sessions_.erase(it);
-  }
-  // Wait out any in-flight search before the entry is destroyed.
-  std::lock_guard<std::mutex> lock(entry->mu);
-  return Status::OK();
-}
-
 StatusOr<MutationResult> S4Service::Mutate(const std::vector<Mutation>& batch,
                                            const StopToken* stop,
                                            obs::Trace* trace) {
@@ -553,20 +467,15 @@ ServiceStats S4Service::stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     s.queue_depth = queue_.size();
   }
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    s.sessions_open = static_cast<int64_t>(sessions_.size());
-  }
 
   // Refresh the instantaneous gauges in the global registry on every
   // collection: last-writer-wins values scraped from the one place that
-  // can see the queue, the session map, the pool, and the shared cache
-  // together. Lifetime pool totals are exported as gauges too — the
+  // can see the queue, the pool, and the shared cache together.
+  // Lifetime pool totals are exported as gauges too — the
   // pool keeps raw atomics (no registry dependency), so Set() with the
   // current value is the faithful translation.
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   reg.GetGauge("s4_service_queue_depth").Set(static_cast<int64_t>(s.queue_depth));
-  reg.GetGauge("s4_service_sessions_open").Set(s.sessions_open);
   const ThreadPool::Stats pool_stats = pool_->stats();
   reg.GetGauge("s4_pool_queue_depth").Set(pool_stats.queued);
   reg.GetGauge("s4_pool_tasks_executed").Set(pool_stats.executed);

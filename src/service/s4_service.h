@@ -11,7 +11,6 @@
 #include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stop_token.h"
@@ -87,7 +86,6 @@ struct ServiceStats {
   int64_t deadline_misses = 0;  // finished with DeadlineExceeded
   int64_t cancelled = 0;        // finished with Cancelled
   int64_t failed = 0;           // finished with any other error
-  int64_t sessions_open = 0;
   uint64_t cache_generation = 0;
   size_t queue_depth = 0;
   CacheStats shared_cache;  // cross-query hits/misses/evictions/bytes
@@ -127,11 +125,9 @@ struct SlowLogEntry {
 //    backpressure;
 //  * per-request deadlines and cooperative cancellation (StopToken
 //    polled at strategy batch boundaries), so abandoned requests stop
-//    burning evaluator work;
-//  * a registry of incremental SearchSessions so spreadsheet-edit
-//    streams (Sec 5.4) survive across requests.
+//    burning evaluator work.
 //
-// Thread-safe: any thread may Submit/Search/OpenSession/etc. The wrapped
+// Thread-safe: any thread may Submit/Search/Mutate/etc. The wrapped
 // S4System (and its Database) must outlive the service.
 class S4Service {
  public:
@@ -174,16 +170,6 @@ class S4Service {
 
   // Blocking convenience wrapper: Submit + wait.
   StatusOr<SearchResult> Search(ServiceRequest request);
-
-  // --- incremental session registry (Sec 5.4 across requests) --------
-  // Sessions run on the caller's thread (they are conversational, not
-  // queued) but share the service's evaluation pool and cross-query
-  // cache. Searches within one session serialize on the session.
-  StatusOr<uint64_t> OpenSession(SearchOptions options = {});
-  StatusOr<SearchResult> SessionSearch(
-      uint64_t session_id, const std::vector<std::vector<std::string>>& cells,
-      IncrementalMode mode = IncrementalMode::kFastTopKInc);
-  Status CloseSession(uint64_t session_id);
 
   // --- live mutation write path (live-constructed services only) ------
   // Applies one batch against the wrapped LiveS4System (see
@@ -259,17 +245,6 @@ class S4Service {
       return a->seq > b->seq;  // FIFO among equals
     }
   };
-  struct SessionEntry {
-    std::mutex mu;
-    SearchSession session;
-    // Live deployments: the epoch this session was opened against, kept
-    // alive for the session's whole life (its incremental state indexes
-    // into that epoch's candidate space). Null for immutable services.
-    std::shared_ptr<const S4System> pinned;
-    // The system the session searches (pinned epoch or the static one).
-    const S4System* sys = nullptr;
-    explicit SessionEntry(SearchSession s) : session(std::move(s)) {}
-  };
 
   // Common constructor: `root` pins the system the service serves when
   // live (epoch 0 of a LiveS4System; non-owning alias for the static
@@ -316,10 +291,6 @@ class S4Service {
   bool shutdown_ = false;
   int64_t next_seq_ = 0;
   std::vector<std::thread> workers_;
-
-  mutable std::mutex sessions_mu_;
-  std::unordered_map<uint64_t, std::unique_ptr<SessionEntry>> sessions_;
-  uint64_t next_session_id_ = 1;
 
   // Slow-query ring (unsorted; SlowLog() sorts the snapshot). The floor
   // is the smallest captured latency once the ring is full, bit-cast to

@@ -16,9 +16,8 @@ using internal::RuntimeCandidate;
 SearchResult SearchSession::Search(const ExampleSpreadsheet& sheet,
                                    IncrementalMode mode) {
   // Column add/delete (or no prior state) restarts from scratch
-  // (Sec 5.4); FASTTOPK-NINC always does.
-  bool fresh = mode == IncrementalMode::kFastTopKNInc ||
-               !last_sheet_.has_value() ||
+  // (Sec 5.4), as FASTTOPK-NINC, a plain SearchFastTopK, always does.
+  bool fresh = !last_sheet_.has_value() ||
                last_sheet_->NumColumns() != sheet.NumColumns() ||
                sheet.NumRows() < last_sheet_->NumRows();
 
@@ -81,7 +80,12 @@ SearchResult SearchSession::Search(const ExampleSpreadsheet& sheet,
           const double penalty = SizePenalty(cand.query.tree().size());
           const double old_part =
               (alpha * row_old + (1.0 - alpha) * col_old) / penalty;
-          rt.ub = std::min(cand.upper_bound, old_part + col_rest / penalty);
+          // The bound sums in a different order from the score, so a
+          // bound equal to the score in exact arithmetic can round below
+          // it, and the strict skip would drop a candidate tied with the
+          // k-th. Round up: 1e-12 relative exceeds the sums' error.
+          const double ub = (old_part + col_rest / penalty) * (1.0 + 1e-12);
+          rt.ub = std::min(cand.upper_bound, ub);
           if (!eval_rows.empty()) {
             rt.es_rows = std::move(eval_rows);
             rt.suffix = EsRowsCacheSuffix(rt.es_rows);
@@ -120,11 +124,6 @@ void SearchSession::Remember(const ExampleSpreadsheet& sheet,
     entry.valid.assign(num_rows, true);
   }
   last_sheet_ = sheet;
-}
-
-void SearchSession::Reset() {
-  history_.clear();
-  last_sheet_.reset();
 }
 
 }  // namespace s4

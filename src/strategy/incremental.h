@@ -10,9 +10,8 @@ namespace s4 {
 
 // Which incremental algorithm to run (Sec 5.4, Appendix A.1).
 enum class IncrementalMode {
-  kFastTopKInc,   // FASTTOPK-INC: improved bounds + partial eval + caching
-  kBaselineInc,   // BASELINE-INC: improved bounds + partial eval, no cache
-  kFastTopKNInc,  // FASTTOPK-NINC: treat every update as a fresh search
+  kFastTopKInc,  // FASTTOPK-INC: improved bounds + partial eval + caching
+  kBaselineInc,  // BASELINE-INC: improved bounds + partial eval, no cache
 };
 
 // Conversation state across spreadsheet edits: the last spreadsheet and
@@ -25,19 +24,10 @@ class SearchSession {
                 SearchOptions options)
       : index_(&index), graph_(&graph), options_(std::move(options)) {}
 
-  const SearchOptions& options() const { return options_; }
-
-  // Per-call plumbing mutations (the service layer re-points the shared
-  // cache prefix / stop token / pool between searches of one session).
-  SearchOptions& mutable_options() { return options_; }
-
   // Runs one search over `sheet`, reusing prior evaluation results where
   // the mode allows, and records the results for the next call.
   SearchResult Search(const ExampleSpreadsheet& sheet,
                       IncrementalMode mode = IncrementalMode::kFastTopKInc);
-
-  // Forgets all prior state.
-  void Reset();
 
   int64_t NumRememberedQueries() const {
     return static_cast<int64_t>(history_.size());

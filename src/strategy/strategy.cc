@@ -64,6 +64,15 @@ Status ValidateSearchOptions(const SearchOptions& options) {
         StrFormat("shard_index must be in [0, %d), got %d",
                   options.shard_count, options.shard_index));
   }
+  const EnumerationOptions& e = options.enumeration;
+  if (e.max_tree_size < 1 || e.max_queries < 1 ||
+      e.max_queries > kMaxEnumerationQueries) {
+    return Status::InvalidArgument(StrFormat(
+        "enumeration.max_tree_size must be >= 1 and max_queries in [1, %lld], "
+        "got %d and %lld",
+        static_cast<long long>(kMaxEnumerationQueries), e.max_tree_size,
+        static_cast<long long>(e.max_queries)));
+  }
   return Status::OK();
 }
 

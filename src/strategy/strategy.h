@@ -118,9 +118,9 @@ int32_t ShardOfSignature(std::string_view signature, int32_t shard_count);
 
 // Rejects nonsensical configurations (non-positive k, zero byte budget,
 // non-positive epsilon, negative deadline, alpha outside [0, 1], NaN
-// knobs, a bad approx or shard setting) with InvalidArgument. Checked at
-// the S4System / S4Service boundary and by the wire decoder, so bad
-// values fail loudly instead of relying on downstream behavior.
+// knobs, bad approx, shard or enumeration settings) with InvalidArgument.
+// Checked at the S4System / S4Service boundary and by the wire decoder,
+// so bad values fail loudly instead of relying on downstream behavior.
 Status ValidateSearchOptions(const SearchOptions& options);
 
 // One ranked answer.

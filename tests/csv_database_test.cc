@@ -2,6 +2,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -14,7 +17,11 @@ namespace {
 class CsvDatabaseTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "s4_csv_test";
+    // One directory per test process: ctest runs the cases of this
+    // fixture in parallel, and a shared one lets one case's TearDown
+    // delete the files another case is reading.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("s4_csv_test_" + std::to_string(getpid()));
     std::filesystem::create_directories(dir_);
     Write("albums.csv",
           "AlbumId,Title,ArtistId\n"

@@ -1,7 +1,8 @@
 // Strategy-equivalence differential suite: across randomly generated
 // schemas, NAIVE, BASELINE and FASTTOPK must return the same top-k sets
 // and scores (Thm 1 / Thm 3) at every thread count, under AND and under
-// OR column mapping. The serial NAIVE run is the reference; every other
+// OR column mapping, and so must the incremental sessions (Sec 5.4) at
+// every edit. The serial NAIVE run is the reference; every other
 // (strategy, num_threads) combination is compared against it
 // rank-by-rank.
 #include <cmath>
@@ -16,11 +17,14 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "datagen/random_schema.h"
+#include "strategy/incremental.h"
 #include "strategy/strategy.h"
 #include "tests/test_util.h"
 
 namespace s4 {
 namespace {
+
+using Cells = std::vector<std::vector<std::string>>;
 
 // Rank-by-rank score agreement plus tie-safe signature agreement: where
 // the reference score is unique (no neighbor within tolerance), the
@@ -72,11 +76,11 @@ class DifferentialTest : public ::testing::TestWithParam<uint64_t> {
     graph_ = std::make_unique<SchemaGraph>(db_);
   }
 
-  // Random two-row spreadsheet over the generator's shared vocabulary:
+  // Random spreadsheet cells over the generator's shared vocabulary:
   // each cell holds one word, or two with probability 0.4.
-  StatusOr<ExampleSpreadsheet> RandomSheet(int cols) const {
+  Cells RandomCells(int rows, int cols) const {
     Rng rng(seed_ * 131 + 7);
-    std::vector<std::vector<std::string>> cells(2);
+    Cells cells(rows);
     for (auto& row : cells) {
       for (int c = 0; c < cols; ++c) {
         std::string cell = StrFormat(
@@ -89,7 +93,13 @@ class DifferentialTest : public ::testing::TestWithParam<uint64_t> {
         row.push_back(cell);
       }
     }
-    return ExampleSpreadsheet::FromCells(cells, index_->tokenizer());
+    return cells;
+  }
+
+  // A random two-row spreadsheet.
+  StatusOr<ExampleSpreadsheet> RandomSheet(int cols) const {
+    return ExampleSpreadsheet::FromCells(RandomCells(2, cols),
+                                         index_->tokenizer());
   }
 
   static SearchOptions BaseOptions() {
@@ -198,6 +208,55 @@ TEST_P(DifferentialTest, OrStrategiesAreBitIdentical) {
                            "baseline" + suffix);
     ExpectBitIdenticalTopK(ref, RunFastTopK(prep, options),
                            "fasttopk" + suffix);
+  }
+}
+
+// Incremental search (Sec 5.4): type a 3x2 sheet cell by cell after a
+// full first row, then edit a row-0 cell and revert it. At every step,
+// FASTTOPK-INC and BASELINE-INC at 1 and 4 threads are bit-identical to
+// a fresh serial NAIVE search.
+TEST_P(DifferentialTest, IncrementalSessionsAreBitIdentical) {
+  const Cells full = RandomCells(3, 2);
+  std::vector<Cells> steps;
+  Cells cells{full[0]};
+  steps.push_back(cells);
+  for (size_t row = 1; row < full.size(); ++row) {
+    cells.push_back({"", ""});
+    for (size_t col = 0; col < full[row].size(); ++col) {
+      cells[row][col] = full[row][col];
+      steps.push_back(cells);
+    }
+  }
+  cells[0][0] = full[2][1];
+  steps.push_back(cells);
+  cells[0][0] = full[0][0];
+  steps.push_back(cells);
+
+  std::vector<ExampleSpreadsheet> sheets;
+  std::vector<SearchResult> refs;
+  for (const Cells& step : steps) {
+    auto sheet = ExampleSpreadsheet::FromCells(step, index_->tokenizer());
+    ASSERT_TRUE(sheet.ok());
+    ASSERT_TRUE(sheet->Validate().ok());
+    refs.push_back(SearchNaive(*index_, *graph_, *sheet, BaseOptions()));
+    sheets.push_back(std::move(sheet).value());
+  }
+
+  for (IncrementalMode mode :
+       {IncrementalMode::kFastTopKInc, IncrementalMode::kBaselineInc}) {
+    for (int32_t threads : {1, 4}) {
+      SearchOptions options = BaseOptions();
+      options.num_threads = threads;
+      SearchSession session(*index_, *graph_, options);
+      for (size_t step = 0; step < sheets.size(); ++step) {
+        ExpectBitIdenticalTopK(
+            refs[step], session.Search(sheets[step], mode),
+            StrFormat("%s seed=%llu T=%d step=%zu",
+                      mode == IncrementalMode::kFastTopKInc ? "inc"
+                                                            : "baseline-inc",
+                      static_cast<unsigned long long>(seed_), threads, step));
+      }
+    }
   }
 }
 

@@ -215,25 +215,28 @@ TEST(DistDeadlineTest, InfiniteDeadlineCompletes) {
   ExpectBitIdentical(*ref, *got, "deadline=inf");
 }
 
-// The coordinator forwards the wire's subset of SearchOptions, which
-// leaves OR column mapping out, so its shards would answer under AND. It
-// refuses the request, naming the field, before any shard is contacted.
-TEST(DistShardingTest, OrSemanticsRefusedBeforeScatter) {
+// The coordinator forwards options.enumeration whole, so an OR search
+// (Appendix A.3) runs under OR on every shard: the merged top-k is
+// bit-identical to the in-process OR search, partial mappings included.
+TEST(DistShardingTest, OrSemanticsCarriedToShards) {
   auto sys = S4System::Create(s4::testing::TpchDb());
   ASSERT_TRUE(sys.ok()) << sys.status();
-  DistHarness h(**sys, 2);
   SearchOptions options;
   options.k = 5;
+  options.num_threads = 2;
   options.enumeration.or_semantics = true;
+  // No database column matches "zzznothing": only OR answers.
+  const Cells cells = {{"Xbox", "zzznothing"}};
+  auto ref = (*sys)->Search(cells, options, S4System::Strategy::kFastTopK);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_FALSE(ref->topk.empty());
+
+  DistHarness h(**sys, 2);
   auto got = h.coordinator->Search(net::NetSearchRequest::From(
-      {{"Xbox", "zzznothing"}}, options, S4System::Strategy::kFastTopK));
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(got.status().message().find("or_semantics"), std::string::npos)
-      << got.status();
-  for (const auto& server : h.servers) {
-    EXPECT_EQ(server->counters().frames_received.load(), 0);
-  }
+      cells, options, S4System::Strategy::kFastTopK));
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(got->complete);
+  ExpectBitIdentical(*ref, *got, "or_semantics");
 }
 
 // End-to-end observability across the fleet: a traced+profiled search

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "enumerate/enumerator.h"
+#include "strategy/incremental.h"
 #include "tests/test_util.h"
 
 namespace s4 {
@@ -159,6 +160,34 @@ TEST(EnumeratorEdgeTest, TwoColumnsSameDomain) {
     }
   }
   EXPECT_TRUE(single_table);
+}
+
+// An active_columns entry out of range or repeated is InvalidArgument,
+// and every in-process entry point, which takes it unchecked, gets no
+// candidates instead of indexing past the per-column state.
+TEST_F(EnumeratorTest, InvalidActiveColumnsYieldNoCandidates) {
+  EnumerationOptions ok;
+  ok.active_columns = {2, 0};
+  EXPECT_TRUE(ValidateActiveColumns(ok, 3).ok());
+  for (const std::vector<int32_t>& bad :
+       {std::vector<int32_t>{3}, std::vector<int32_t>{-1},
+        std::vector<int32_t>{0, 0}, std::vector<int32_t>{1, 5, 1}}) {
+    EnumerationOptions opts;
+    opts.active_columns = bad;
+    EXPECT_EQ(ValidateActiveColumns(opts, 3).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(
+        EnumerateCandidates(TpchGraph(), ctx_, opts).candidates.empty());
+
+    SearchOptions options;
+    options.enumeration = opts;
+    SearchResult fresh =
+        SearchFastTopK(TpchIndex(), TpchGraph(), sheet_, options);
+    EXPECT_TRUE(fresh.topk.empty());
+    EXPECT_EQ(fresh.stats.queries_enumerated, 0);
+    SearchSession session(TpchIndex(), TpchGraph(), options);
+    EXPECT_TRUE(session.Search(sheet_).topk.empty());
+  }
 }
 
 }  // namespace

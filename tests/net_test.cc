@@ -315,25 +315,57 @@ TEST(NetProtocolTest, ClientRefusesPartialCadence) {
   EXPECT_EQ(h.server->counters().connections_accepted.load(), 1);
 }
 
-// OR column mapping does not travel on the wire (the search request's
-// field list leaves options.enumeration.or_semantics out), so a server
-// would answer an OR request under AND. The client refuses it, naming
-// the field, before anything is sent.
-TEST(NetProtocolTest, ClientRefusesOrSemantics) {
+// The search request carries options.enumeration whole, so an OR search
+// (Appendix A.3) and the other enumeration settings reach the server: the
+// networked answer is bit-identical to the in-process one. A bad
+// active_columns list is refused server-side, as it is in-process.
+TEST(NetProtocolTest, ClientCarriesOrSemantics) {
   ServerHarness h;
   S4Client client(h.MakeClientOptions());
-  ASSERT_TRUE(client.Ping().ok());
-  const int64_t frames = h.server->counters().frames_received.load();
+  auto expect_same = [&](const Cells& cells, const SearchOptions& options,
+                         const std::string& label) {
+    auto ref = System().Search(cells, options);
+    ASSERT_TRUE(ref.ok()) << label << ": " << ref.status();
+    auto got = client.Search(
+        NetSearchRequest::From(cells, options, S4System::Strategy::kFastTopK));
+    ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+    ASSERT_EQ(got->topk.size(), ref->topk.size()) << label;
+    for (size_t i = 0; i < ref->topk.size(); ++i) {
+      EXPECT_EQ(got->topk[i].signature, ref->topk[i].query.signature())
+          << label << " rank " << i;
+      EXPECT_EQ(got->topk[i].score, ref->topk[i].score)
+          << label << " rank " << i;
+      EXPECT_EQ(got->topk[i].upper_bound, ref->topk[i].upper_bound)
+          << label << " rank " << i;
+    }
+    EXPECT_EQ(got->stats.queries_enumerated, ref->stats.queries_enumerated)
+        << label;
+  };
+
+  // No database column matches "zzznothing", so under AND nothing
+  // answers; under OR the partial mappings do.
   SearchOptions options = BaseOptions();
   options.enumeration.or_semantics = true;
-  auto refused = client.Search(NetSearchRequest::From(
-      TestSheets()[0], options, S4System::Strategy::kFastTopK));
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(refused.status().message().find("or_semantics"),
-            std::string::npos)
-      << refused.status();
-  EXPECT_EQ(h.server->counters().frames_received.load(), frames);
+  options.enumeration.max_queries = 4000;
+  options.enumeration.cost_aware_rooting = false;
+  const Cells unmatchable = {{"Xbox", "zzznothing"}};
+  ASSERT_FALSE(System().Search(unmatchable, options)->topk.empty());
+  expect_same(unmatchable, options, "or");
+
+  SearchOptions projected = BaseOptions();
+  projected.enumeration.active_columns = {1};
+  expect_same(TestSheets()[1], projected, "active_columns {1}");
+
+  for (const std::vector<int32_t>& bad :
+       {std::vector<int32_t>{2}, std::vector<int32_t>{-1},
+        std::vector<int32_t>{0, 0}}) {
+    projected.enumeration.active_columns = bad;
+    auto refused = client.Search(NetSearchRequest::From(
+        TestSheets()[1], projected, S4System::Strategy::kFastTopK));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+        << refused.status();
+  }
 }
 
 TEST(NetProtocolTest, GarbageStreamClosedWithoutResponse) {

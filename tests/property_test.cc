@@ -115,8 +115,8 @@ TEST_P(PropertyTest, StrategyInvariants) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyTest,
                          ::testing::Range<uint64_t>(1, 13));
 
-// Incremental sessions agree with fresh searches on random worlds and
-// random single-cell edits.
+// Incremental sessions agree exactly with fresh searches on random
+// worlds and random single-cell edits.
 class IncrementalPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IncrementalPropertyTest, SessionMatchesFreshAfterEdits) {
@@ -151,8 +151,13 @@ TEST_P(IncrementalPropertyTest, SessionMatchesFreshAfterEdits) {
     SearchResult fresh =
         SearchFastTopK(*w->index, *w->graph, sheet, options);
     ASSERT_EQ(inc.topk.size(), fresh.topk.size()) << "seed " << seed;
+    // Reused row scores are the stored doubles, so the top-k is exact,
+    // ties included.
     for (size_t i = 0; i < inc.topk.size(); ++i) {
-      EXPECT_NEAR(inc.topk[i].score, fresh.topk[i].score, 1e-9)
+      EXPECT_EQ(inc.topk[i].score, fresh.topk[i].score)
+          << "seed " << seed << " edit " << edit << " rank " << i;
+      EXPECT_EQ(inc.topk[i].query.signature(),
+                fresh.topk[i].query.signature())
           << "seed " << seed << " edit " << edit << " rank " << i;
     }
   }

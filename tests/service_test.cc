@@ -2,7 +2,7 @@
 // to serial S4System::Search for every strategy (cross-query cache hits
 // change work counts, never scores), honor deadlines and cancellation
 // without corrupting shared state, reject on a full admission queue,
-// order the queue by priority, and keep incremental sessions exact.
+// and order the queue by priority.
 #include <future>
 #include <string>
 #include <thread>
@@ -430,64 +430,6 @@ TEST(ServiceCacheTest, CrossQueryHitsAndInvalidation) {
   auto third = search();
   ASSERT_TRUE(third.ok());
   ExpectBitIdentical(*first, *third, "post-invalidation request");
-}
-
-TEST(ServiceSessionTest, SessionsMatchFreshSearchesAndClose) {
-  S4Service service(System());
-  const SearchOptions options = BaseOptions();
-
-  auto id = service.OpenSession(options);
-  ASSERT_TRUE(id.ok()) << id.status();
-  EXPECT_EQ(service.stats().sessions_open, 1);
-
-  const Cells cells1 = {{"Rick", "USA"}, {"Kevin", "Canada"}};
-  const Cells cells2 = {{"Rick", "USA"}, {"Kevin", "Mexico"}};
-  for (const Cells& cells : {cells1, cells2}) {
-    auto inc = service.SessionSearch(*id, cells);
-    ASSERT_TRUE(inc.ok()) << inc.status();
-    auto fresh = System().Search(cells, options);
-    ASSERT_TRUE(fresh.ok());
-    ASSERT_EQ(inc->topk.size(), fresh->topk.size());
-    for (size_t i = 0; i < inc->topk.size(); ++i) {
-      EXPECT_NEAR(inc->topk[i].score, fresh->topk[i].score, 1e-9)
-          << "rank " << i;
-    }
-  }
-
-  EXPECT_TRUE(service.CloseSession(*id).ok());
-  EXPECT_EQ(service.stats().sessions_open, 0);
-  EXPECT_EQ(service.SessionSearch(*id, cells1).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(service.CloseSession(*id).code(), StatusCode::kNotFound);
-  SearchOptions bad_k;
-  bad_k.k = -1;
-  EXPECT_EQ(service.OpenSession(bad_k).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(ServiceSessionTest, SessionDeadlineReportsMiss) {
-  S4Service service(System());
-  // A caller-armed session token is honoured across SessionSearch calls;
-  // pre-expiring it makes the miss deterministic (no clock race).
-  StopToken stop;
-  stop.SetDeadline(-1.0);
-  SearchOptions options = BaseOptions();
-  options.stop = &stop;
-  auto id = service.OpenSession(options);
-  ASSERT_TRUE(id.ok());
-  // NINC mode re-runs a full search, which polls the token at batch
-  // boundaries.
-  auto r = service.SessionSearch(*id, TestSheets()[0],
-                                 IncrementalMode::kFastTopKNInc);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded) << r.status();
-
-  // Cancelling the same token maps to Cancelled on a later search.
-  stop.Cancel();
-  auto r2 = service.SessionSearch(*id, TestSheets()[0],
-                                  IncrementalMode::kFastTopKNInc);
-  ASSERT_FALSE(r2.ok());
-  EXPECT_EQ(r2.status().code(), StatusCode::kCancelled) << r2.status();
 }
 
 TEST(ServiceShutdownTest, DestructorDrainsQueuedRequests) {

@@ -1,5 +1,5 @@
 // Wire codec tests: randomized round-trip properties over every message
-// (scores must survive bit-exactly), the golden v5 bytes, rejection of
+// (scores must survive bit-exactly), the golden v6 bytes, rejection of
 // truncated frames and garbage prefixes, and a deterministic fuzz corpus
 // run against every decoder. The fuzz suites are part of the asan CI
 // filter: a decoder fed hostile bytes must return a Status, never touch
@@ -182,6 +182,9 @@ NetSearchRequest RandomRequest(Rng& rng) {
   o.shard_count = 1 + static_cast<int32_t>(rng.Uniform(kMaxWireShards));
   o.shard_index =
       static_cast<int32_t>(rng.Uniform(static_cast<uint64_t>(o.shard_count)));
+  o.enumeration.max_tree_size = 1 + static_cast<int32_t>(rng.Uniform(8));
+  o.enumeration.max_queries =
+      1 + static_cast<int64_t>(rng.Uniform(kMaxWireQueries));
   return req;
 }
 
@@ -450,13 +453,14 @@ TEST(WireCodecTest, TruncatedResponseEveryPrefixRejected) {
                             DecodeSearchResponse);
 }
 
-// The v5 bytes of one fixed instance of every payload-carrying message.
+// The v6 bytes of one fixed instance of every payload-carrying message.
 // The round-trip properties pass under any format; this is the test that
-// notices a format change. The hex was produced by the encoder that
-// predates the field lists; a deliberate format change bumps
+// notices a format change. The v5 hex was produced by the encoder that
+// predates the field lists; v6 changed only the version byte and the
+// search request's enumeration block. A deliberate format change bumps
 // kProtocolVersion and regenerates it.
-TEST(WireCodecTest, GoldenBytesV5) {
-  static_assert(kProtocolVersion == 5);
+TEST(WireCodecTest, GoldenBytesV6) {
+  static_assert(kProtocolVersion == 6);
   auto hex = [](const std::string& bytes) {
     std::string out;
     for (unsigned char c : bytes) {
@@ -476,6 +480,10 @@ TEST(WireCodecTest, GoldenBytesV5) {
   o.score.spelling_edits = 1;
   o.num_threads = 2;
   o.enumeration.max_tree_size = 4;
+  o.enumeration.max_queries = 4000;
+  o.enumeration.active_columns = {1, 0};
+  o.enumeration.or_semantics = true;
+  o.enumeration.cost_aware_rooting = false;
   o.cache_budget_bytes = 1u << 20;
   o.approx_epsilon = 0.05;
   o.approx_confidence = 0.9;
@@ -495,13 +503,13 @@ TEST(WireCodecTest, GoldenBytesV5) {
   const std::string req_frame =
       EncodeSearchRequestFrame(req, 0x0102030405060708ULL);
   EXPECT_EQ(hex(req_frame),
-            "50573453050100000807060504030201b000000002000000020000000a000000"
+            "50573453060100000807060504030201c600000002000000020000000a000000"
             "546865204d61747269780400000031393939050000004b65616e750000000001"
             "03000000000000000000044007000000000000000000e83f000000000000e03f"
-            "01000000000000c03f0100000000020000000400000000001000000000009a99"
-            "99999999a93fcdccccccccccec3fe803000000000000efcdab89674523010104"
-            "0000000200000003000000011111000000000000222200000000000000401e18"
-            "240a0600");
+            "01000000000000c03f01000000000200000004000000a00f0000000000000200"
+            "00000100000000000000010000001000000000009a9999999999a93fcdcccccc"
+            "ccccec3fe803000000000000efcdab8967452301010400000002000000030000"
+            "00011111000000000000222200000000000000401e18240a0600");
   const NetSearchRequest req_back =
       Decoded(req_frame, FrameType::kSearchRequest, 0x0102030405060708ULL,
               DecodeSearchRequest);
@@ -545,7 +553,7 @@ TEST(WireCodecTest, GoldenBytesV5) {
       {"net", "frame_decode", 5, 7, 1, 2, 0, {{"k", "v"}}});
   const std::string resp_frame = EncodeSearchResponseFrame(resp, 2);
   EXPECT_EQ(hex(resp_frame),
-            "505734530502000002000000000000000b020000010002000000020000007131"
+            "505734530602000002000000000000000b020000010002000000020000007131"
             "0800000053454c4543542031000000000000e03f000000000000e83f00000000"
             "0000d03f000000000000f03f019a9999999999d93f333333333333e33fcdcccc"
             "ccccccec3f0c0000000000000005000000000000000200000071320000000000"
@@ -572,7 +580,7 @@ TEST(WireCodecTest, GoldenBytesV5) {
   partial.stats = stats;
   const std::string partial_frame = EncodeShardPartialFrame(partial, 3);
   EXPECT_EQ(hex(partial_frame),
-            "50573453050a000003000000000000003f010000010000000200000071320000"
+            "50573453060a000003000000000000003f010000010000000200000071320000"
             "0000000000000000d03f000000000000d03f000000000000c03f000000000000"
             "e03f00000000000000d03f000000000000d03f000000000000f03f0000000000"
             "0000000000000000000000000000000000d83ffca9f1d24d62503f0000000000"
@@ -590,7 +598,7 @@ TEST(WireCodecTest, GoldenBytesV5) {
   const std::string error_frame =
       EncodeErrorFrame(Status::ResourceExhausted("queue full"), 4);
   EXPECT_EQ(hex(error_frame),
-            "505734530503000004000000000000001000000006010a000000717565756520"
+            "505734530603000004000000000000001000000006010a000000717565756520"
             "66756c6c");
   const NetError want_error{WireCodeFor(StatusCode::kResourceExhausted),
                             true, "queue full"};
@@ -599,20 +607,20 @@ TEST(WireCodecTest, GoldenBytesV5) {
 
   const std::string trace_frame = EncodeTraceRequestFrame(42, 5);
   EXPECT_EQ(hex(trace_frame),
-            "50573453050800000500000000000000080000002a00000000000000");
+            "50573453060800000500000000000000080000002a00000000000000");
   EXPECT_EQ(Decoded(trace_frame, FrameType::kTraceRequest, 5,
                     DecodeTraceRequest),
             42u);
   const std::string stop_frame = EncodeShardStopFrame(43, 6);
   EXPECT_EQ(hex(stop_frame),
-            "50573453050b00000600000000000000080000002b00000000000000");
+            "50573453060b00000600000000000000080000002b00000000000000");
   EXPECT_EQ(Decoded(stop_frame, FrameType::kShardStop, 6, DecodeShardStop),
             43u);
 
   const NetMutateRequest mreq = AllOpsMutateRequest();
   const std::string mreq_frame = EncodeMutateRequestFrame(mreq, 7);
   EXPECT_EQ(hex(mreq_frame),
-            "50573453050c00000700000000000000680000000300000000050000004d6f76"
+            "50573453060c00000700000000000000680000000300000000050000004d6f76"
             "696503000000010700000000000000020a000000616c70686120626574610001"
             "050000004d6f76696503000000000000000206000000506572736f6e09000000"
             "000000000a000000506572736f6e4e616d65020500000067616d6d61");
@@ -624,7 +632,7 @@ TEST(WireCodecTest, GoldenBytesV5) {
   const NetMutateResponse mresp{2, 9, true, "boom", {1, 3}, 0.5};
   const std::string mresp_frame = EncodeMutateResponseFrame(mresp, 8);
   EXPECT_EQ(hex(mresp_frame),
-            "50573453050d000008000000000000002d000000020000000000000009000000"
+            "50573453060d000008000000000000002d000000020000000000000009000000"
             "000000000104000000626f6f6d020000000100000003000000000000000000e0"
             "3f");
   EXPECT_TRUE(BitEqual(Decoded(mresp_frame, FrameType::kMutateResponse, 8,
@@ -702,6 +710,62 @@ TEST(WireCodecTest, ShardRequestBadSliceRejected) {
   EXPECT_FALSE(
       DecodeSearchRequest(std::string_view(frame).substr(kHeaderBytes), &got)
           .ok());
+}
+
+// The enumeration options travel whole, so decode holds them to
+// ValidateSearchOptions and the wire caps: a tree size or query cap below
+// 1 or above its wire cap, an active-column count above the wire cap and
+// a non-boolean flag byte are all InvalidArgument.
+TEST(WireCodecTest, EnumerationHostileValuesRejected) {
+  auto decode = [](const std::string& frame) {
+    NetSearchRequest got;
+    return DecodeSearchRequest(std::string_view(frame).substr(kHeaderBytes),
+                               &got)
+        .code();
+  };
+  NetSearchRequest req;
+  req.cells = {{"The Matrix"}};
+  EnumerationOptions& e = req.options.enumeration;
+  auto encoded = [&] { return EncodeSearchRequestFrame(req, 1); };
+  EXPECT_EQ(decode(encoded()), StatusCode::kOk);
+  for (int32_t size : {0, -1, std::numeric_limits<int32_t>::min(),
+                       kMaxWireTreeSize + 1,
+                       std::numeric_limits<int32_t>::max()}) {
+    e.max_tree_size = size;
+    EXPECT_EQ(decode(encoded()), StatusCode::kInvalidArgument) << size;
+  }
+  e.max_tree_size = kMaxWireTreeSize;
+  EXPECT_EQ(decode(encoded()), StatusCode::kOk);
+  e = {};
+  for (int64_t cap : {int64_t{0}, int64_t{-1}, int64_t{kMaxWireQueries} + 1,
+                      kMaxEnumerationQueries, kMaxEnumerationQueries + 1,
+                      std::numeric_limits<int64_t>::max()}) {
+    e.max_queries = cap;
+    EXPECT_EQ(decode(encoded()), StatusCode::kInvalidArgument) << cap;
+  }
+  e.max_queries = kMaxWireQueries;
+  EXPECT_EQ(decode(encoded()), StatusCode::kOk);
+
+  // The encoder never writes a count above the cap, so patch one in. The
+  // one-element list is followed by or_semantics, cost_aware_rooting,
+  // the 40 bytes of cache budget and approx knobs, want_profile and the
+  // exchange tail.
+  e = {};
+  e.active_columns = {0};
+  std::string frame = encoded();
+  const size_t count_at =
+      frame.size() - kExchangeTailBytes - 1 - 40 - 2 - 4 - 4;
+  uint32_t count = 0;
+  memcpy(&count, frame.data() + count_at, sizeof(count));
+  ASSERT_EQ(count, 1u);
+  const uint32_t hostile = kMaxWireCols + 1;
+  memcpy(frame.data() + count_at, &hostile, sizeof(hostile));
+  EXPECT_EQ(decode(frame), StatusCode::kInvalidArgument);
+
+  // or_semantics is the byte after the one element.
+  frame = encoded();
+  frame[count_at + 8] = 2;
+  EXPECT_EQ(decode(frame), StatusCode::kInvalidArgument);
 }
 
 TEST(WireCodecTest, TruncatedShardFramesEveryPrefixRejected) {

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 #include "bench/bench_util.h"
 
@@ -74,12 +73,8 @@ int main(int argc, char** argv) {
       "paper's shape: for small k the result sets barely differ — full"
       " mappings dominate the ranking even under OR semantics.\n\n");
 
-  // num_threads as run, and its label in the tables and JSON sections.
+  // num_threads as run: serially and one thread per core.
   const int32_t thread_counts[2] = {1, 0};
-  auto threads_label = [](int32_t threads) {
-    return threads == 1 ? std::string("1")
-                        : StrFormat("nproc=%d", ThreadPool::DefaultThreads());
-  };
 
   std::printf("Figure 12(b): execution time AND vs OR per bucket (k=%d)\n",
               and_options.k);
@@ -126,12 +121,12 @@ int main(int argc, char** argv) {
       if (and_agg.searches == 0) continue;
       auto row = [&](const char* semantics, const RunStats& a,
                      const std::string& ratio) {
-        t12b.AddRow({threads_label(threads), datagen::EsBucketName(bucket),
+        t12b.AddRow({ThreadsLabel(threads), datagen::EsBucketName(bucket),
                      semantics,
                      TablePrinter::Num(PerSearch(a, 1e3 * a.enum_seconds), 3),
                      TablePrinter::Num(PerSearch(a, 1e3 * a.eval_seconds), 3),
                      TablePrinter::Num(AvgTotalMs(a), 3), ratio});
-        JsonRunStats(std::string("fig12b/threads=") + threads_label(threads) +
+        JsonRunStats(std::string("fig12b/threads=") + ThreadsLabel(threads) +
                          "/bucket=" + datagen::EsBucketName(bucket) +
                          "/semantics=" + semantics,
                      a);
@@ -181,10 +176,10 @@ int main(int argc, char** argv) {
     auto row = [&](const char* strat, const char* sem, const RunStats& a) {
       const double enumerated = PerSearch(a, a.queries_enumerated);
       const double evaluated = PerSearch(a, a.queries_evaluated);
-      t13.AddRow({threads_label(threads), strat, sem,
+      t13.AddRow({ThreadsLabel(threads), strat, sem,
                   TablePrinter::Num(enumerated, 1),
                   TablePrinter::Num(evaluated, 1)});
-      const std::string section = "fig13/threads=" + threads_label(threads) +
+      const std::string section = "fig13/threads=" + ThreadsLabel(threads) +
                                   "/strategy=" + strat + "/semantics=" + sem;
       JsonMetric(section, "enumerated_per_es", enumerated);
       JsonMetric(section, "evaluated_per_es", evaluated);

@@ -1,7 +1,8 @@
 // Reproduces Exp-I: Figure 6 (average execution time of NAIVE vs
 // BASELINE vs FASTTOPK, split into enumeration+upper-bound and
 // evaluation, per term-frequency bucket) and Figure 7 (number of PJ
-// query-row evaluations per strategy and bucket).
+// query-row evaluations per strategy and bucket). Both run serially
+// (the paper's setting) and at num_threads = 0 (one thread per core).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,39 +29,51 @@ int main(int argc, char** argv) {
   SearchOptions options;
   options.enumeration.max_tree_size = 4;
 
-  struct Cell {
-    RunStats agg;
-  };
-  const char* strategy_names[3] = {"Naive", "Baseline", "FastTopK"};
-  Cell cells[3][3];
+  // num_threads as run: serially and one thread per core.
+  const int32_t thread_counts[2] = {1, 0};
+  JsonThreads({1, ThreadPool::DefaultThreads()});
 
-  for (size_t i = 0; i < workload.es.size(); ++i) {
-    const int b = static_cast<int>(workload.buckets[i]);
-    PreparedSearch prep(*world->index, *world->graph, workload.es[i].sheet,
-                        options);
-    cells[0][b].agg.Add(RunNaive(prep, options).stats);
-    cells[1][b].agg.Add(RunBaseline(prep, options).stats);
-    cells[2][b].agg.Add(RunFastTopK(prep, options).stats);
+  const char* strategy_names[3] = {"Naive", "Baseline", "FastTopK"};
+  // cells[t][s][b]: summed stats at thread_counts[t], strategy s, bucket b.
+  RunStats cells[2][3][3];
+  for (int t = 0; t < 2; ++t) {
+    SearchOptions topt = options;
+    topt.num_threads = thread_counts[t];
+    for (size_t i = 0; i < workload.es.size(); ++i) {
+      const int b = static_cast<int>(workload.buckets[i]);
+      PreparedSearch prep(*world->index, *world->graph, workload.es[i].sheet,
+                          topt);
+      cells[t][0][b].Add(RunNaive(prep, topt).stats);
+      cells[t][1][b].Add(RunBaseline(prep, topt).stats);
+      cells[t][2][b].Add(RunFastTopK(prep, topt).stats);
+    }
   }
 
   std::printf("Figure 6: average execution time (ms)\n");
-  TablePrinter t6({"bucket", "strategy", "enum+ub (ms)", "eval (ms)",
-                   "total (ms)", "speedup vs naive"});
-  for (int b = 0; b < 3; ++b) {
-    const double naive_total = AvgTotalMs(cells[0][b].agg);
-    for (int s = 0; s < 3; ++s) {
-      const RunStats& a = cells[s][b].agg;
-      if (a.searches == 0) continue;
-      t6.AddRow({datagen::EsBucketName(static_cast<EsBucket>(b)),
-                 strategy_names[s],
-                 TablePrinter::Num(PerSearch(a, 1e3 * a.enum_seconds), 3),
-                 TablePrinter::Num(PerSearch(a, 1e3 * a.eval_seconds), 3),
-                 TablePrinter::Num(AvgTotalMs(a), 3),
-                 TablePrinter::Num(naive_total / AvgTotalMs(a), 2) + "x"});
-      JsonRunStats(std::string("bucket=") +
-                       datagen::EsBucketName(static_cast<EsBucket>(b)) +
-                       "/strategy=" + strategy_names[s],
-                   a);
+  TablePrinter t6({"threads", "bucket", "strategy", "enum+ub (ms)",
+                   "eval (ms)", "total (ms)", "speedup vs naive",
+                   "speedup vs baseline"});
+  for (int t = 0; t < 2; ++t) {
+    const std::string label = ThreadsLabel(thread_counts[t]);
+    for (int b = 0; b < 3; ++b) {
+      const double naive_total = AvgTotalMs(cells[t][0][b]);
+      const double baseline_total = AvgTotalMs(cells[t][1][b]);
+      const std::string bucket =
+          datagen::EsBucketName(static_cast<EsBucket>(b));
+      for (int s = 0; s < 3; ++s) {
+        const RunStats& a = cells[t][s][b];
+        if (a.searches == 0) continue;
+        t6.AddRow({label, bucket, strategy_names[s],
+                   TablePrinter::Num(PerSearch(a, 1e3 * a.enum_seconds), 3),
+                   TablePrinter::Num(PerSearch(a, 1e3 * a.eval_seconds), 3),
+                   TablePrinter::Num(AvgTotalMs(a), 3),
+                   TablePrinter::Num(naive_total / AvgTotalMs(a), 2) + "x",
+                   TablePrinter::Num(baseline_total / AvgTotalMs(a), 2) +
+                       "x"});
+        JsonRunStats("threads=" + label + "/bucket=" + bucket +
+                         "/strategy=" + strategy_names[s],
+                     a);
+      }
     }
   }
   t6.Print();
@@ -68,20 +81,23 @@ int main(int argc, char** argv) {
   std::printf(
       "\nFigure 7: PJ query-row evaluations (avg per ES; NAIVE has no"
       " upper-bound pruning)\n");
-  TablePrinter t7({"bucket", "Naive", "Baseline", "FastTopK",
+  TablePrinter t7({"threads", "bucket", "Naive", "Baseline", "FastTopK",
                    "enumerated"});
-  for (int b = 0; b < 3; ++b) {
-    const RunStats& naive = cells[0][b].agg;
-    if (naive.searches == 0) continue;
-    std::vector<std::string> row{
-        datagen::EsBucketName(static_cast<EsBucket>(b))};
-    for (int s = 0; s < 3; ++s) {
-      const RunStats& a = cells[s][b].agg;
-      row.push_back(TablePrinter::Num(PerSearch(a, a.query_row_evals), 1));
+  for (int t = 0; t < 2; ++t) {
+    for (int b = 0; b < 3; ++b) {
+      const RunStats& naive = cells[t][0][b];
+      if (naive.searches == 0) continue;
+      std::vector<std::string> row{
+          ThreadsLabel(thread_counts[t]),
+          datagen::EsBucketName(static_cast<EsBucket>(b))};
+      for (int s = 0; s < 3; ++s) {
+        const RunStats& a = cells[t][s][b];
+        row.push_back(TablePrinter::Num(PerSearch(a, a.query_row_evals), 1));
+      }
+      row.push_back(
+          TablePrinter::Num(PerSearch(naive, naive.queries_enumerated), 1));
+      t7.AddRow(std::move(row));
     }
-    row.push_back(
-        TablePrinter::Num(PerSearch(naive, naive.queries_enumerated), 1));
-    t7.AddRow(std::move(row));
   }
   t7.Print();
   std::printf(

@@ -10,6 +10,8 @@
 #include <thread>
 
 #include "common/simd.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace s4::bench {
@@ -26,6 +28,7 @@ struct JsonState {
   std::string path;
   std::string bench_name;
   std::vector<JsonRecord> records;
+  std::vector<int32_t> threads;
   bool written = false;
 };
 
@@ -88,7 +91,8 @@ std::string GitSha() {
 }
 
 // The provenance object of the JSON file: commit, machine, build, and
-// every S4_BENCH_* knob that is set (sorted, so files diff cleanly).
+// every S4_BENCH_* knob that is set (sorted, so files diff cleanly),
+// plus the declared thread counts.
 std::string ProvenanceJson() {
   std::vector<std::string> knobs;
   for (char** e = environ; *e != nullptr; ++e) {
@@ -102,13 +106,19 @@ std::string ProvenanceJson() {
            JsonEscape(knob.substr(0, eq)) + "\": \"" +
            JsonEscape(knob.substr(eq + 1)) + "\"";
   }
+  std::string threads;
+  for (int32_t t : State().threads) {
+    threads += threads.empty() ? ", \"threads\": [" : ", ";
+    threads += std::to_string(t);
+  }
+  if (!threads.empty()) threads += "]";
   return "{\"git_sha\": \"" + JsonEscape(GitSha()) +
          "\", \"nproc\": " +
          std::to_string(std::thread::hardware_concurrency()) +
          ", \"compiler\": \"" + JsonEscape(S4_COMPILER) +
          "\", \"build_type\": \"" + JsonEscape(S4_BUILD_TYPE) +
          "\", \"simd\": \"" + simd::BackendName() + "\", \"env\": {" + env +
-         "}}";
+         "}" + threads + "}";
 }
 
 }  // namespace
@@ -131,6 +141,10 @@ int JsonInit(int argc, char** argv, const std::string& bench_name) {
 }
 
 bool JsonEnabled() { return !State().path.empty(); }
+
+void JsonThreads(const std::vector<int32_t>& threads) {
+  State().threads = threads;
+}
 
 void JsonMetric(const std::string& section, const std::string& name,
                 double value) {
@@ -270,6 +284,12 @@ double PerSearch(const RunStats& s, double total) {
 
 double AvgTotalMs(const RunStats& s) {
   return PerSearch(s, 1e3 * (s.enum_seconds + s.eval_seconds));
+}
+
+std::string ThreadsLabel(int32_t num_threads) {
+  return num_threads > 0
+             ? std::to_string(num_threads)
+             : StrFormat("nproc=%d", ThreadPool::DefaultThreads());
 }
 
 int64_t EnvInt(const char* name, int64_t def) {

@@ -58,6 +58,11 @@ double PerSearch(const RunStats& s, double total);
 // Mean Stage I + Stage II wall time per run, in milliseconds.
 double AvgTotalMs(const RunStats& s);
 
+// Label of a SearchOptions::num_threads setting in bench tables and
+// JSON sections: the count itself, or "nproc=<n>" for 0 (one thread
+// per core).
+std::string ThreadsLabel(int32_t num_threads);
+
 // Reads an integer knob from the environment (e.g. S4_BENCH_ES_COUNT) so
 // users can scale benchmarks up without recompiling.
 int64_t EnvInt(const char* name, int64_t def);
@@ -72,19 +77,26 @@ void PrintHeader(const std::string& title, const std::string& what);
 //
 //   {"bench": "<name>",
 //    "provenance": {"git_sha": ..., "nproc": ..., "compiler": ...,
-//                   "build_type": ..., "simd": ..., "env": {...}},
+//                   "build_type": ..., "simd": ..., "env": {...},
+//                   "threads": [...]},
 //    "metrics": [{"section": "...", "name": "...", "value": ...}, ...]}
 //
 // so perf trajectories can be tracked across commits without parsing the
 // human-readable tables. `provenance` names the commit (HEAD of the
 // source tree, suffixed "-dirty" when its tracked sources differ, or
-// "unknown"), the machine and build, and every S4_BENCH_* variable that
-// was set. Without the flag, recording is a no-op.
+// "unknown"), the machine and build, every S4_BENCH_* variable that
+// was set, and (when the bench declares them through JsonThreads) the
+// evaluation thread counts it ran at. Without the flag, recording is a
+// no-op.
 
 // Parses `--json` out of argv (call first in main). Returns the new argc
 // with the flag removed, so binaries that forward argv elsewhere (e.g.
 // google-benchmark) can pass the remainder along.
 int JsonInit(int argc, char** argv, const std::string& bench_name);
+
+// Declares the resolved evaluation thread counts the bench's tables
+// were run at, for the provenance object.
+void JsonThreads(const std::vector<int32_t>& threads);
 
 // True when `--json` was given.
 bool JsonEnabled();

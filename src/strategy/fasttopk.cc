@@ -2,7 +2,6 @@
 #include <cmath>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "approx/join_sampler.h"
 #include "common/timer.h"
@@ -15,13 +14,49 @@ namespace s4::internal {
 
 namespace {
 
-// Per-candidate state inside one batch.
+// Per-candidate state inside one batch. Cache keys are interned to
+// dense per-batch ids once, so planning compares integers, never
+// strings.
 struct BatchEntry {
-  size_t rt_index;                      // into the runtime list
-  std::vector<SubPJQuery> subs;         // enumerated once
-  std::vector<std::string> keys;        // cache keys incl. row suffix
-  std::unordered_set<std::string> key_set;
+  size_t rt_index;                   // into the runtime list
+  std::vector<SubPJQuery> subs;      // enumerated once
+  std::vector<uint32_t> sub_ids;     // key id of subs[s]
+  std::vector<uint32_t> sorted_ids;  // sub_ids sorted, duplicates kept
 };
+
+// One Alg-4 critical group: Q*, and Critical^{-1}(Q*) in similarity
+// order (heuristic 1 of Sec 5.3.4).
+struct CriticalGroup {
+  const SubPJQuery* sub = nullptr;  // Q*, owned by the plan's entries
+  std::string key;                  // Q*'s cache key
+  int64_t cost = 0;                 // Eq. 12 cost of Q*
+  size_t bytes = 0;                 // EstimateTableBytes(Q*): its share of B
+  std::vector<size_t> members;      // entry indices, similarity order
+};
+
+// Alg 4's whole schedule for one batch. The greedy Q* picks depend only
+// on which entries are still unplaced, never on scores, so the plan is
+// fixed before anything is evaluated: groups in pick order, then the
+// remainder that shares nothing (Alg 4 line 5), in entry order.
+struct BatchPlan {
+  std::vector<BatchEntry> entries;
+  std::vector<CriticalGroup> groups;
+  std::vector<size_t> remainder;
+};
+
+// Occurrences of `a`'s ids (with multiplicity) that also appear in
+// `b`; both sorted.
+int64_t SharedKeys(const std::vector<uint32_t>& a,
+                   const std::vector<uint32_t>& b) {
+  int64_t shared = 0;
+  size_t j = 0;
+  for (uint32_t id : a) {
+    while (j < b.size() && b[j] < id) ++j;
+    if (j == b.size()) break;
+    if (b[j] == id) ++shared;
+  }
+  return shared;
+}
 
 // Orders `group` so that consecutive queries share as many sub-PJ
 // queries as possible (heuristic 1 of Sec 5.3.4): greedy chain that
@@ -35,16 +70,13 @@ std::vector<size_t> SimilarityOrder(const std::vector<size_t>& group,
   order.push_back(group[0]);
   used[0] = true;
   for (size_t step = 1; step < group.size(); ++step) {
-    const std::unordered_set<std::string>& last_keys =
-        entries[order.back()].key_set;
+    const std::vector<uint32_t>& last_ids = entries[order.back()].sorted_ids;
     size_t best = group.size();
     int64_t best_shared = -1;
     for (size_t g = 0; g < group.size(); ++g) {
       if (used[g]) continue;
-      int64_t shared = 0;
-      for (const std::string& key : entries[group[g]].keys) {
-        if (last_keys.count(key) > 0) ++shared;
-      }
+      const int64_t shared =
+          SharedKeys(entries[group[g]].sorted_ids, last_ids);
       if (shared > best_shared) {
         best_shared = shared;
         best = g;
@@ -54,6 +86,14 @@ std::vector<size_t> SimilarityOrder(const std::vector<size_t>& group,
     order.push_back(group[best]);
   }
   return order;
+}
+
+// Calls f(id) once per distinct id of a sorted id vector.
+template <typename F>
+void ForEachDistinct(const std::vector<uint32_t>& sorted, F&& f) {
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (i == 0 || sorted[i] != sorted[i - 1]) f(sorted[i]);
+  }
 }
 
 class FastTopKRun {
@@ -318,44 +358,6 @@ class FastTopKRun {
     OfferCounted(&topk_, std::move(sq), &result_.stats);
   }
 
-  // Evaluates the given candidates (already in deterministic order —
-  // similarity order for a critical group, entry order for a batch
-  // remainder). Serial path: the legacy per-candidate loop, re-checking
-  // the skipping condition after every evaluation. Parallel path: skip
-  // decisions are frozen against the k-th score at entry (a group/batch
-  // boundary — Prop 2 still guarantees a skipped candidate cannot enter
-  // the top-k, so only the skip *count* can differ from serial), the
-  // survivors fan out to the pool sharing the sharded cache, and the
-  // outcomes merge back in order. Every decision point reads topk state
-  // only between fan-outs, so a fixed thread count is deterministic.
-  void EvaluateRts(const std::vector<size_t>& rt_indices,
-                   bool offer_to_cache) {
-    if (pool_.get() == nullptr || rt_indices.size() <= 1) {
-      for (size_t rt : rt_indices) EvaluateOne(rt, offer_to_cache);
-      return;
-    }
-    const bool full = topk_.Full();
-    const double kth = topk_.KthScore();
-    std::vector<size_t> live;
-    live.reserve(rt_indices.size());
-    for (size_t rt : rt_indices) {
-      if (full && rts_[rt].ub < kth) {
-        ++result_.stats.skipped_by_condition;
-      } else {
-        live.push_back(rt);
-      }
-    }
-    if (live.empty()) return;
-    std::vector<EvalOutcome> outcomes(live.size());
-    pool_.get()->ParallelFor(live.size(), [&](size_t j) {
-      outcomes[j] = EvaluateCandidateIsolated(prep_, rts_[live[j]], &cache_,
-                                              offer_to_cache, options_);
-    });
-    for (EvalOutcome& o : outcomes) {
-      MergeOutcome(std::move(o), &result_, &topk_);
-    }
-  }
-
   // BatchEval (Algorithm 4) over candidates [lo, hi) of the runtime list.
   void EvaluateBatch(size_t lo, size_t hi) {
     // Approximate mode: resolve what sampling can (interval skips and
@@ -367,8 +369,25 @@ class FastTopKRun {
       obs::SpanTimer span(options_.trace, "approx", "resolve_batch");
       ResolveBySampling(lo, hi, &sampled_out);
     }
-    std::vector<BatchEntry> entries;
-    entries.reserve(hi - lo);
+    const BatchPlan plan = PlanBatch(lo, hi, sampled_out);
+    if (pool_.get() == nullptr) {
+      WalkSerial(plan);
+    } else {
+      WalkParallel(plan);
+    }
+  }
+
+  // Alg 4's greedy selection, run to completion up front: pick the
+  // critical sub-PJ query Q* — highest cost among those shared by >= 2
+  // unplaced entries whose output fits in B, first (entry, sub) in scan
+  // order on ties — place its sharers, repeat until nothing is shared.
+  BatchPlan PlanBatch(size_t lo, size_t hi,
+                      const std::vector<bool>& sampled_out) const {
+    BatchPlan plan;
+    plan.entries.reserve(hi - lo);
+    std::unordered_map<std::string, uint32_t> key_ids;
+    std::vector<const std::string*> keys;      // id -> key
+    std::vector<std::vector<size_t>> holders;  // id -> entries, entry order
     const std::vector<uint64_t>& gens = prep_.ctx.index().relation_gens();
     for (size_t i = lo; i < hi; ++i) {
       if (sampled_out[i - lo]) continue;
@@ -379,147 +398,296 @@ class FastTopKRun {
         // Gen-stamp matches the evaluator's probe keys: a mutation to
         // any relation of the sub-PJ changes its suffix, so stale cached
         // tables from earlier epochs can never be shared.
-        e.keys.push_back(s.cache_key + RelationGenSuffix(s.tree, gens) +
-                         rts_[i].suffix);
+        auto [it, inserted] = key_ids.try_emplace(
+            s.cache_key + RelationGenSuffix(s.tree, gens) + rts_[i].suffix,
+            static_cast<uint32_t>(keys.size()));
+        if (inserted) {
+          keys.push_back(&it->first);
+          holders.emplace_back();
+        }
+        e.sub_ids.push_back(it->second);
       }
-      e.key_set.insert(e.keys.begin(), e.keys.end());
-      entries.push_back(std::move(e));
+      e.sorted_ids = e.sub_ids;
+      std::sort(e.sorted_ids.begin(), e.sorted_ids.end());
+      ForEachDistinct(e.sorted_ids, [&](uint32_t id) {
+        holders[id].push_back(plan.entries.size());
+      });
+      plan.entries.push_back(std::move(e));
     }
 
-    std::vector<bool> done(entries.size(), false);
-    size_t remaining = entries.size();
-    Evaluator evaluator(prep_.ctx);
+    // Cost and size per distinct key, for keys shared at all; the
+    // sharer counts below only fall, so no other key is ever a pick.
+    const size_t num_ids = keys.size();
+    std::vector<size_t> sharers(num_ids);
+    for (size_t id = 0; id < num_ids; ++id) sharers[id] = holders[id].size();
+    std::vector<int64_t> cost(num_ids, -1);
+    std::vector<size_t> bytes(num_ids, 0);
+    for (const BatchEntry& e : plan.entries) {
+      for (size_t s = 0; s < e.subs.size(); ++s) {
+        const uint32_t id = e.sub_ids[s];
+        if (sharers[id] < 2 || cost[id] >= 0) continue;
+        cost[id] = EvaluationCost(e.subs[s].tree, e.subs[s].bindings,
+                                  prep_.ctx);
+        bytes[id] = EstimateTableBytes(e.subs[s].tree, prep_.ctx);
+      }
+    }
 
+    std::vector<bool> placed(plan.entries.size(), false);
+    size_t remaining = plan.entries.size();
     while (remaining > 0) {
-      // Critical-group boundary: poll the stop token so an abandoned
-      // request stops before picking (and evaluating) the next Q*. A
-      // deadline in approximate mode resolves the batch remainder by
-      // best-effort sampling instead of dropping it.
+      const SubPJQuery* best_sub = nullptr;
+      uint32_t best_id = 0;
+      int64_t best_cost = -1;
+      for (size_t e = 0; e < plan.entries.size(); ++e) {
+        if (placed[e]) continue;
+        const BatchEntry& entry = plan.entries[e];
+        for (size_t s = 0; s < entry.subs.size(); ++s) {
+          const uint32_t id = entry.sub_ids[s];
+          if (sharers[id] < 2 || cost[id] <= best_cost) continue;
+          if (bytes[id] > options_.cache_budget_bytes) continue;
+          best_cost = cost[id];
+          best_sub = &entry.subs[s];
+          best_id = id;
+        }
+      }
+      if (best_sub == nullptr) break;
+      CriticalGroup group;
+      group.sub = best_sub;
+      group.key = *keys[best_id];
+      group.cost = best_cost;
+      group.bytes = bytes[best_id];
+      for (size_t e : holders[best_id]) {
+        if (!placed[e]) group.members.push_back(e);
+      }
+      group.members = SimilarityOrder(group.members, plan.entries);
+      for (size_t e : group.members) {
+        placed[e] = true;
+        --remaining;
+        ForEachDistinct(plan.entries[e].sorted_ids,
+                        [&](uint32_t id) { --sharers[id]; });
+      }
+      plan.groups.push_back(std::move(group));
+    }
+    for (size_t e = 0; e < plan.entries.size(); ++e) {
+      if (!placed[e]) plan.remainder.push_back(e);
+    }
+    return plan;
+  }
+
+  // True if some member of `group` can still enter the top-k against
+  // the k-th score `kth` (-inf while the heap is not full); otherwise
+  // evaluating Q* itself is wasted work.
+  bool GroupLive(const BatchPlan& plan, const CriticalGroup& group,
+                 double kth) const {
+    for (size_t e : group.members) {
+      if (rts_[plan.entries[e].rt_index].ub >= kth) return true;
+    }
+    return false;
+  }
+
+  // Evaluates Q* and pins its output relation in M (Alg 4 line 7),
+  // counting the build into `stats`.
+  void BuildCritical(const BatchPlan& plan, const CriticalGroup& group,
+                     RunStats* stats) {
+    EvalOptions eopts;
+    eopts.es_rows = rts_[plan.entries[group.members[0]].rt_index].es_rows;
+    eopts.drop_zero_rows = options_.drop_zero_rows;
+    eopts.trace = options_.trace;
+    std::shared_ptr<const SubQueryTable> table;
+    {
+      obs::SpanTimer critical_span(options_.trace, "fasttopk",
+                                   "evaluate_critical_sub");
+      if (critical_span.enabled()) {
+        critical_span.AddArg("sharers", std::to_string(group.members.size()));
+      }
+      table = Evaluator(prep_.ctx).EvaluateSub(*group.sub, &cache_,
+                                               &stats->counters, eopts);
+    }
+    stats->model_cost += group.cost;
+    cache_.Add(group.key, std::move(table), /*pinned=*/true);
+    ++stats->critical_subs_cached;
+  }
+
+  // The deadline fired mid-batch: resolves the given entries (in entry
+  // order) by best-effort sampling, one rank at a time — entries are no
+  // longer a contiguous range. Row-subset candidates the sampler cannot
+  // bracket still evaluate exactly; they are rare and per-candidate, so
+  // the cancel path can abort them.
+  void FallBack(const BatchPlan& plan, const std::vector<size_t>& entries) {
+    std::vector<size_t> rest;
+    for (size_t e : entries) {
+      const size_t rt = plan.entries[e].rt_index;
+      std::vector<bool> one(1, false);
+      ResolveBySampling(rt, rt + 1, &one);
+      if (!one[0]) rest.push_back(rt);
+    }
+    for (size_t rt : rest) EvaluateOne(rt, /*offer_to_cache=*/false);
+  }
+
+  // Serial walk of the plan (the paper's schedule): every group
+  // boundary polls the stop token and resets M, and every skip decision
+  // reads the live heap.
+  void WalkSerial(const BatchPlan& plan) {
+    std::vector<bool> done(plan.entries.size(), false);
+    // Group boundary: poll the stop token so an abandoned request stops
+    // before evaluating the next Q*. A deadline in approximate mode
+    // resolves the rest of the batch by best-effort sampling instead of
+    // dropping it. True when the batch ends here.
+    auto boundary = [&] {
+      if (ShouldAbort()) {
+        result_.interrupted = true;
+        return true;
+      }
+      if (deadline_fallback_) {
+        std::vector<size_t> rest;
+        for (size_t e = 0; e < done.size(); ++e) {
+          if (!done[e]) rest.push_back(e);
+        }
+        FallBack(plan, rest);
+        return true;
+      }
+      cache_.Clear();
+      return false;
+    };
+    for (const CriticalGroup& group : plan.groups) {
+      if (boundary()) return;
+      for (size_t e : group.members) done[e] = true;
+      if (!GroupLive(plan, group, topk_.KthScore())) {
+        result_.stats.skipped_by_condition +=
+            static_cast<int64_t>(group.members.size());
+        continue;
+      }
+      BuildCritical(plan, group, &result_.stats);
+      // Evaluate Critical^{-1}(Q*) in similarity order, re-using M with
+      // LRU offers of intermediate tables (heuristic 1).
+      for (size_t e : group.members) {
+        EvaluateOne(plan.entries[e].rt_index, /*offer_to_cache=*/true);
+      }
+      cache_.Unpin(group.key);
+    }
+    if (plan.remainder.empty() || boundary()) return;
+    for (size_t e : plan.remainder) {
+      EvaluateOne(plan.entries[e].rt_index, /*offer_to_cache=*/false);
+    }
+  }
+
+  // What one pool task of a parallel walk produced: Q*'s build and the
+  // frozen skips in `stats`, the evaluations in order, and the entries
+  // a stop left untouched.
+  struct TaskOutcome {
+    RunStats stats;
+    std::vector<EvalOutcome> evals;
+    std::vector<size_t> unstarted;
+  };
+
+  // Evaluates `entries` (indices into the plan) in order inside one
+  // task, skipping against the frozen k-th score.
+  void EvaluateInTask(const BatchPlan& plan, const size_t* entries, size_t n,
+                      bool offer_to_cache, double kth, TaskOutcome* out) {
+    for (size_t m = 0; m < n; ++m) {
+      if (StopRequested(options_)) {
+        out->unstarted.assign(entries + m, entries + n);
+        return;
+      }
+      const RuntimeCandidate& rt = rts_[plan.entries[entries[m]].rt_index];
+      if (rt.ub < kth) {
+        ++out->stats.skipped_by_condition;
+        continue;
+      }
+      out->evals.push_back(EvaluateCandidateIsolated(prep_, rt, &cache_,
+                                                     offer_to_cache, options_));
+    }
+  }
+
+  // Parallel walk: one ParallelFor per fan-out, each task a whole
+  // critical group (build Q*, pin it, evaluate its live members in
+  // similarity order, unpin) or one remainder candidate. Groups come
+  // first in plan order (descending Q* cost), so the long tasks start
+  // first. Fan-outs pack groups whose Q* estimates sum to at most B —
+  // one fan-out per batch at the default budget. Skip decisions freeze
+  // the k-th score at fan-out entry: Prop 2 still guarantees a skipped
+  // candidate cannot enter the top-k, so only the skip *counts* (and
+  // cache-dependent bookkeeping) can differ from the serial walk. The
+  // run cache is shared by all tasks and reset once per batch; outcomes
+  // merge in plan order, so a fixed thread count is deterministic.
+  void WalkParallel(const BatchPlan& plan) {
+    cache_.Clear();
+    size_t next_group = 0;
+    bool remainder_pending = !plan.remainder.empty();
+    // Entries a stop kept a task from starting. Stops latch, so the poll
+    // after such a fan-out either aborts or enters the deadline fallback.
+    std::vector<size_t> unstarted;
+    while (next_group < plan.groups.size() || remainder_pending ||
+           !unstarted.empty()) {
+      // Fan-out boundary: the same poll as a serial group boundary. A
+      // cancel (or an exact-mode deadline) ends the run; an
+      // approximate-mode deadline sends every entry not yet started
+      // through the best-effort sampling fallback.
       if (ShouldAbort()) {
         result_.interrupted = true;
         return;
       }
       if (deadline_fallback_) {
-        // The deadline fired mid-batch: resolve every not-yet-evaluated
-        // entry by best-effort sampling (one rank at a time — entries
-        // are no longer a contiguous range). Row-subset candidates the
-        // sampler cannot bracket still evaluate exactly; they are rare
-        // and per-candidate, so the cancel path can abort them.
-        std::vector<size_t> rest;
-        for (size_t e = 0; e < entries.size(); ++e) {
-          if (done[e]) continue;
-          done[e] = true;
-          const size_t rt = entries[e].rt_index;
-          std::vector<bool> one(1, false);
-          ResolveBySampling(rt, rt + 1, &one);
-          if (!one[0]) rest.push_back(rt);
+        for (size_t g = next_group; g < plan.groups.size(); ++g) {
+          const std::vector<size_t>& m = plan.groups[g].members;
+          unstarted.insert(unstarted.end(), m.begin(), m.end());
         }
-        EvaluateRts(rest, /*offer_to_cache=*/false);
-        remaining = 0;
-        break;
-      }
-      cache_.Clear();
-
-      // Pick the critical sub-PJ query Q*: highest cost among those
-      // shared by >= 2 unevaluated queries whose output fits in B.
-      std::unordered_map<std::string, std::vector<size_t>> sharers;
-      for (size_t e = 0; e < entries.size(); ++e) {
-        if (done[e]) continue;
-        for (const std::string& key : entries[e].key_set) {
-          sharers[key].push_back(e);
+        if (remainder_pending) {
+          unstarted.insert(unstarted.end(), plan.remainder.begin(),
+                           plan.remainder.end());
         }
+        std::sort(unstarted.begin(), unstarted.end());
+        FallBack(plan, unstarted);
+        return;
       }
-      const SubPJQuery* best_sub = nullptr;
-      std::string best_key;
-      int64_t best_cost = -1;
-      std::vector<size_t>* best_group = nullptr;
-      for (size_t e = 0; e < entries.size(); ++e) {
-        if (done[e]) continue;
-        for (size_t s = 0; s < entries[e].subs.size(); ++s) {
-          const std::string& key = entries[e].keys[s];
-          auto it = sharers.find(key);
-          if (it == sharers.end() || it->second.size() < 2) continue;
-          const SubPJQuery& sub = entries[e].subs[s];
-          int64_t cost = EvaluationCost(sub.tree, sub.bindings, prep_.ctx);
-          if (cost <= best_cost) continue;
-          if (EstimateTableBytes(sub.tree, prep_.ctx) >
-              options_.cache_budget_bytes) {
-            continue;
-          }
-          best_cost = cost;
-          best_sub = &sub;
-          best_key = key;
-          best_group = &it->second;
+      const double kth = topk_.KthScore();
+      std::vector<const CriticalGroup*> groups;
+      size_t packed_bytes = 0;
+      for (; next_group < plan.groups.size(); ++next_group) {
+        const CriticalGroup& group = plan.groups[next_group];
+        if (!GroupLive(plan, group, kth)) {
+          result_.stats.skipped_by_condition +=
+              static_cast<int64_t>(group.members.size());
+          continue;
         }
-      }
-
-      if (best_sub == nullptr) {
-        // No shareable sub-PJ left: evaluate the rest in entry order
-        // (with the skipping condition) and finish the batch (Alg 4
-        // line 5).
-        std::vector<size_t> rest;
-        for (size_t e = 0; e < entries.size(); ++e) {
-          if (done[e]) continue;
-          rest.push_back(entries[e].rt_index);
-          done[e] = true;
-        }
-        EvaluateRts(rest, /*offer_to_cache=*/false);
-        remaining = 0;
-        break;
-      }
-
-      // Skipping-condition guard: if no query in Critical^{-1}(Q*) can
-      // still enter the top-k, evaluating Q* itself is wasted work.
-      bool group_live = false;
-      for (size_t e : *best_group) {
-        if (!topk_.Full() ||
-            rts_[entries[e].rt_index].ub >= topk_.KthScore()) {
-          group_live = true;
+        if (!groups.empty() &&
+            packed_bytes + group.bytes > options_.cache_budget_bytes) {
           break;
         }
+        packed_bytes += group.bytes;
+        groups.push_back(&group);
       }
-      if (!group_live) {
-        for (size_t e : *best_group) {
-          ++result_.stats.skipped_by_condition;
-          done[e] = true;
-          --remaining;
-        }
-        continue;
-      }
+      const bool with_remainder =
+          next_group == plan.groups.size() && remainder_pending;
+      if (with_remainder) remainder_pending = false;
 
-      // Evaluate Q* and pin its output relation in M (Alg 4 line 7).
-      EvalOptions eopts;
-      eopts.es_rows = rts_[entries[(*best_group)[0]].rt_index].es_rows;
-      eopts.drop_zero_rows = options_.drop_zero_rows;
-      eopts.trace = options_.trace;
-      std::shared_ptr<const SubQueryTable> table;
-      {
-        obs::SpanTimer critical_span(options_.trace, "fasttopk",
-                                     "evaluate_critical_sub");
-        if (critical_span.enabled()) {
-          critical_span.AddArg("sharers",
-                               std::to_string(best_group->size()));
+      std::vector<TaskOutcome> outcomes(
+          groups.size() + (with_remainder ? plan.remainder.size() : 0));
+      pool_.get()->ParallelFor(outcomes.size(), [&](size_t t) {
+        TaskOutcome* out = &outcomes[t];
+        if (t >= groups.size()) {
+          EvaluateInTask(plan, &plan.remainder[t - groups.size()], 1,
+                         /*offer_to_cache=*/false, kth, out);
+          return;
         }
-        table = evaluator.EvaluateSub(*best_sub, &cache_,
-                                      &result_.stats.counters, eopts);
+        const CriticalGroup& group = *groups[t];
+        if (StopRequested(options_)) {
+          out->unstarted = group.members;
+          return;
+        }
+        BuildCritical(plan, group, &out->stats);
+        EvaluateInTask(plan, group.members.data(), group.members.size(),
+                       /*offer_to_cache=*/true, kth, out);
+        cache_.Unpin(group.key);
+      });
+      for (TaskOutcome& out : outcomes) {
+        result_.stats.Add(out.stats);
+        for (EvalOutcome& o : out.evals) {
+          MergeOutcome(std::move(o), &result_, &topk_);
+        }
+        unstarted.insert(unstarted.end(), out.unstarted.begin(),
+                         out.unstarted.end());
       }
-      result_.stats.model_cost +=
-          EvaluationCost(best_sub->tree, best_sub->bindings, prep_.ctx);
-      cache_.Add(best_key, std::move(table), /*pinned=*/true);
-      ++result_.stats.critical_subs_cached;
-
-      // Evaluate Critical^{-1}(Q*) in similarity order, re-using M with
-      // LRU offers of intermediate tables (heuristic 1).
-      std::vector<size_t> order = SimilarityOrder(*best_group, entries);
-      std::vector<size_t> order_rts;
-      order_rts.reserve(order.size());
-      for (size_t e : order) {
-        order_rts.push_back(entries[e].rt_index);
-        done[e] = true;
-        --remaining;
-      }
-      EvaluateRts(order_rts, /*offer_to_cache=*/true);
-      cache_.Unpin(best_key);
     }
   }
 

@@ -479,26 +479,31 @@ TEST(ApproxDeadlineTest, FallbackTurnsTruncationIntoApproximation) {
   const std::vector<std::vector<std::string>> cells =
       RandomCells(rng, sopts.vocab_size);
 
-  SearchOptions options;
-  options.k = 5;
-  options.enumeration.max_tree_size = 3;
-  options.enumeration.max_queries = 2000;
-  options.num_threads = 1;
-  options.deadline_seconds = 1e-9;  // expired before the first poll
+  // Serially and on the parallel walk, whose fan-outs poll the same
+  // token.
+  for (int32_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SearchOptions options;
+    options.k = 5;
+    options.enumeration.max_tree_size = 3;
+    options.enumeration.max_queries = 2000;
+    options.num_threads = threads;
+    options.deadline_seconds = 1e-9;  // expired before the first poll
 
-  auto truncated = (*system)->Search(cells, options);
-  ASSERT_FALSE(truncated.ok());
-  EXPECT_EQ(truncated.status().code(), StatusCode::kDeadlineExceeded);
+    auto truncated = (*system)->Search(cells, options);
+    ASSERT_FALSE(truncated.ok());
+    EXPECT_EQ(truncated.status().code(), StatusCode::kDeadlineExceeded);
 
-  SearchOptions fallback = options;
-  fallback.approx_epsilon = 0.1;
-  fallback.sample_budget = 32;
-  auto approx = (*system)->Search(cells, fallback);
-  ASSERT_TRUE(approx.ok()) << approx.status();
-  EXPECT_FALSE(approx->interrupted);
-  EXPECT_TRUE(approx->approximate);
-  EXPECT_GT(approx->stats.approx_sampled, 0);
-  EXPECT_FALSE(approx->topk.empty());
+    SearchOptions fallback = options;
+    fallback.approx_epsilon = 0.1;
+    fallback.sample_budget = 32;
+    auto approx = (*system)->Search(cells, fallback);
+    ASSERT_TRUE(approx.ok()) << approx.status();
+    EXPECT_FALSE(approx->interrupted);
+    EXPECT_TRUE(approx->approximate);
+    EXPECT_GT(approx->stats.approx_sampled, 0);
+    EXPECT_FALSE(approx->topk.empty());
+  }
 }
 
 }  // namespace

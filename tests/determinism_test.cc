@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/stop_token.h"
+#include "common/thread_pool.h"
 #include "datagen/es_gen.h"
 #include "datagen/synthetic.h"
 #include "strategy/strategy.h"
@@ -166,22 +168,69 @@ TEST(DeterminismTest, BaselineParallelBitIdenticalToSerial) {
 TEST(DeterminismTest, FastTopKParallelMatchesSerialTopK) {
   const DetWorld& w = World();
   SearchOptions serial = Options(1);
-  SearchOptions parallel = Options(8);
   PreparedSearch prep(*w.index, *w.graph, *w.sheet, serial);
   SearchResult a = RunFastTopK(prep, serial);
-  SearchResult b = RunFastTopK(prep, parallel);
-  // Frozen skip decisions can shift work between "evaluated" and
-  // "skipped", but never change the returned queries or their scores.
-  ASSERT_EQ(a.topk.size(), b.topk.size());
-  for (size_t i = 0; i < a.topk.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.topk[i].score, b.topk[i].score) << "rank " << i;
+  for (int32_t threads : {2, 4, 8}) {
+    const std::string label = "fasttopk-1v" + std::to_string(threads);
+    SearchResult b = RunFastTopK(prep, Options(threads));
+    // Frozen skip decisions can shift work between "evaluated" and
+    // "skipped", but never change the returned queries or their scores.
+    ExpectIdenticalTopK(a, b, label);
+    EXPECT_EQ(a.stats.queries_enumerated, b.stats.queries_enumerated)
+        << label;
+    EXPECT_EQ(a.stats.batches, b.stats.batches) << label;
+    // Prop 2 safety: parallel skipping never skips its way past work the
+    // serial path had to do to certify the answer.
+    EXPECT_LE(b.stats.queries_evaluated + b.stats.skipped_by_condition,
+              a.stats.queries_enumerated)
+        << label;
   }
-  EXPECT_EQ(a.stats.queries_enumerated, b.stats.queries_enumerated);
-  EXPECT_EQ(a.stats.batches, b.stats.batches);
-  // Prop 2 safety: parallel skipping never skips its way past work the
-  // serial path had to do to certify the answer.
-  EXPECT_LE(b.stats.queries_evaluated + b.stats.skipped_by_condition,
-            a.stats.queries_enumerated);
+}
+
+// The batch, not the critical group, is the unit of parallel work: each
+// batch is one ParallelFor, which submits at most one pool task per
+// worker. A per-group fan-out would run several per batch.
+TEST(DeterminismTest, FastTopKFansOutOncePerBatch) {
+  const DetWorld& w = World();
+  ThreadPool pool(4);
+  SearchOptions options = Options(4);
+  options.pool = &pool;
+  PreparedSearch prep(*w.index, *w.graph, *w.sheet, options);
+  const int64_t before = pool.stats().executed;
+  SearchResult r = RunFastTopK(prep, options);
+  const int64_t tasks = pool.stats().executed - before;
+  ASSERT_GT(r.stats.batches, 1);
+  EXPECT_GT(r.stats.critical_subs_cached, 0);
+  EXPECT_LE(tasks, 4 * r.stats.batches);
+}
+
+// A cancel from the first progress snapshot (after batch 0) stops the
+// run at the next batch boundary. Batch 0 starts with a heap that is not
+// full, so it cannot skip at any thread count: serial and parallel runs
+// evaluate exactly the same queries before stopping.
+TEST(DeterminismTest, FastTopKCancelAfterFirstBatchStopsAlike) {
+  const DetWorld& w = World();
+  int64_t evaluated[2] = {0, 0};
+  const int32_t thread_counts[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    const std::string label = "threads=" + std::to_string(thread_counts[i]);
+    StopToken stop;
+    SearchOptions options = Options(thread_counts[i]);
+    options.stop = &stop;
+    int snapshots = 0;
+    options.progress = [&](const SearchProgress&) {
+      if (snapshots++ == 0) stop.Cancel();
+    };
+    PreparedSearch prep(*w.index, *w.graph, *w.sheet, options);
+    SearchResult r = RunFastTopK(prep, options);
+    EXPECT_TRUE(r.interrupted) << label;
+    EXPECT_EQ(snapshots, 1) << label;
+    EXPECT_EQ(r.stats.batches, 1) << label;
+    EXPECT_EQ(r.stats.skipped_by_condition, 0) << label;
+    evaluated[i] = r.stats.queries_evaluated;
+  }
+  EXPECT_GT(evaluated[0], 0);
+  EXPECT_EQ(evaluated[0], evaluated[1]);
 }
 
 }  // namespace

@@ -2,18 +2,18 @@
 // cost model (Eq. 12) assumes to be constant-time: tokenization, posting
 // scans (Algorithm 1), hash-join evaluation, sub-PJ cache operations,
 // candidate enumeration and index building — plus a hand-rolled
-// build/probe comparison of the flat-arena SubQueryTable against the
-// legacy chained-hash layout it replaced.
+// build/probe comparison of the dense row-id SubQueryTable against the
+// FlatMap64 hash layout it replaced.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
-#include <unordered_set>
+#include <numeric>
 
 #include "bench/bench_util.h"
+#include "cache/flat_table.h"
 #include "cache/subquery_cache.h"
 #include "common/simd.h"
 #include "common/timer.h"
@@ -139,8 +139,7 @@ BENCHMARK(BM_EvaluateQueryWarmCache);
 
 void BM_CacheAddGet(benchmark::State& state) {
   SubQueryCache cache(64u << 20);
-  auto table = std::make_shared<SubQueryTable>();
-  table->num_es_rows = 3;
+  auto table = std::make_shared<SubQueryTable>(1000, 3);
   bool fresh = false;
   for (int i = 0; i < 1000; ++i) {
     double* row = table->UpsertScored(i, &fresh);
@@ -169,48 +168,54 @@ void BM_FullSearchFastTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSearchFastTopK);
 
-// --- flat-arena vs legacy SubQueryTable layout ------------------------
+// --- dense vs FlatMap64 SubQueryTable layout --------------------------
 
-// The pre-flat SubQueryTable layout, kept here as the comparison
-// reference: chained unordered_map with one heap-allocated vector per
-// scored key plus a separate zero-key set, with its original ByteSize
-// accounting.
-struct LegacyTable {
+// The pre-dense SubQueryTable layout, kept here as the comparison
+// reference: a FlatMap64 from join key to arena row (or the zero-score
+// sentinel) plus the same arena, with its exact ByteSize.
+struct FlatTable {
+  static constexpr uint32_t kZeroRow = SubQueryTable::kZeroRow;
   int32_t num_es_rows = 0;
-  std::unordered_map<int64_t, std::vector<double>> scored;
-  std::unordered_set<int64_t> zero;
+  FlatMap64 keys;
+  std::vector<double> arena;
 
-  const std::vector<double>* Find(int64_t key, bool* exists) const {
-    auto it = scored.find(key);
-    if (it != scored.end()) {
-      *exists = true;
-      return &it->second;
+  const double* Find(int64_t key, bool* exists) const {
+    const uint32_t row = keys.Find(key);
+    *exists = row != FlatMap64::kNotFound;
+    if (!*exists || row == kZeroRow) return nullptr;
+    return arena.data() + static_cast<size_t>(row) * num_es_rows;
+  }
+
+  double* UpsertScored(int64_t key) {
+    bool inserted = false;
+    uint32_t* slot = keys.FindOrInsert(key, 0, &inserted);
+    if (inserted || *slot == kZeroRow) {
+      *slot = static_cast<uint32_t>(arena.size() /
+                                    static_cast<size_t>(num_es_rows));
+      arena.resize(arena.size() + static_cast<size_t>(num_es_rows), 0.0);
     }
-    *exists = zero.count(key) > 0;
-    return nullptr;
+    return arena.data() + static_cast<size_t>(*slot) * num_es_rows;
+  }
+
+  void InsertZero(int64_t key) {
+    bool inserted = false;
+    keys.FindOrInsert(key, kZeroRow, &inserted);
   }
 
   size_t ByteSize() const {
-    constexpr size_t kNodeOverhead = 2 * sizeof(void*);
-    size_t bytes = sizeof(LegacyTable);
-    bytes += scored.bucket_count() * sizeof(void*);
-    bytes += scored.size() *
-             (kNodeOverhead + sizeof(int64_t) + sizeof(std::vector<double>) +
-              sizeof(double) * static_cast<size_t>(num_es_rows));
-    bytes += zero.bucket_count() * sizeof(void*);
-    bytes += zero.size() * (kNodeOverhead + sizeof(int64_t));
-    return bytes;
+    return sizeof(FlatTable) + keys.ByteSize() +
+           arena.capacity() * sizeof(double);
   }
 };
 
-// Build + probe microbenchmark over one (num_es_rows, hit-density)
-// configuration. Keys are spread over a 4x-wider space so probes mix
-// hits and misses at the requested density, like a join probe stream.
-void RunFlatVsLegacyConfig(int32_t num_es_rows, double density,
-                           int64_t num_keys, int64_t num_probes,
-                           TablePrinter* tp) {
-  const int64_t key_space = num_keys * 4;
-  std::vector<int64_t> keys(static_cast<size_t>(num_keys));
+// Build + probe microbenchmark over one (num_es_rows, fill)
+// configuration: a domain of `domain_rows` rows of which a `fill`
+// fraction joins, built in random key order, then probed at uniformly
+// random domain rows (so `fill` is also the probe hit rate), like a
+// Stage-II probe stream.
+void RunDenseVsFlatConfig(int32_t num_es_rows, double fill,
+                          int64_t domain_rows, int64_t num_probes,
+                          TablePrinter* tp) {
   uint64_t state = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(num_es_rows);
   auto next = [&state]() {
     state ^= state << 13;
@@ -218,163 +223,113 @@ void RunFlatVsLegacyConfig(int32_t num_es_rows, double density,
     state ^= state << 17;
     return state;
   };
-  for (int64_t i = 0; i < num_keys; ++i) {
-    keys[i] = static_cast<int64_t>(next() % static_cast<uint64_t>(key_space));
+  std::vector<int64_t> keys(static_cast<size_t>(domain_rows));
+  std::iota(keys.begin(), keys.end(), int64_t{0});
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[next() % i]);
   }
-  // Probe stream: `density` of the probes target stored keys.
+  keys.resize(static_cast<size_t>(fill * static_cast<double>(domain_rows)));
+  const int64_t num_keys = static_cast<int64_t>(keys.size());
   std::vector<int64_t> probes(static_cast<size_t>(num_probes));
-  for (int64_t i = 0; i < num_probes; ++i) {
-    if (static_cast<double>(next() % 1000) < density * 1000.0) {
-      probes[i] = keys[next() % static_cast<uint64_t>(num_keys)];
-    } else {
-      probes[i] = key_space + static_cast<int64_t>(
-                                  next() % static_cast<uint64_t>(key_space));
-    }
+  for (int64_t& p : probes) {
+    p = static_cast<int64_t>(next() % static_cast<uint64_t>(domain_rows));
   }
 
   // Build both layouts: every 8th key joins with all-zero scores.
-  WallTimer flat_build_timer;
-  SubQueryTable flat;
-  flat.num_es_rows = num_es_rows;
+  WallTimer dense_build_timer;
+  SubQueryTable dense(domain_rows, num_es_rows);
   bool fresh = false;
+  for (int64_t i = 0; i < num_keys; ++i) {
+    if ((i & 7) == 0) {
+      dense.InsertZero(keys[i]);
+    } else {
+      double* row = dense.UpsertScored(keys[i], &fresh);
+      row[static_cast<size_t>(i) % num_es_rows] += 1.0;
+    }
+  }
+  dense.ShrinkToFit();
+  const double dense_build_ns =
+      dense_build_timer.ElapsedSeconds() * 1e9 / static_cast<double>(num_keys);
+
+  WallTimer flat_build_timer;
+  FlatTable flat;
+  flat.num_es_rows = num_es_rows;
   for (int64_t i = 0; i < num_keys; ++i) {
     if ((i & 7) == 0) {
       flat.InsertZero(keys[i]);
     } else {
-      double* row = flat.UpsertScored(keys[i], &fresh);
-      row[static_cast<size_t>(i) % num_es_rows] += 1.0;
+      flat.UpsertScored(keys[i])[static_cast<size_t>(i) % num_es_rows] += 1.0;
     }
   }
-  flat.ShrinkToFit();
+  flat.arena.shrink_to_fit();
   const double flat_build_ns =
       flat_build_timer.ElapsedSeconds() * 1e9 / static_cast<double>(num_keys);
 
-  WallTimer legacy_build_timer;
-  LegacyTable legacy;
-  legacy.num_es_rows = num_es_rows;
-  for (int64_t i = 0; i < num_keys; ++i) {
-    if ((i & 7) == 0) {
-      if (legacy.scored.find(keys[i]) == legacy.scored.end()) {
-        legacy.zero.insert(keys[i]);
-      }
-    } else {
-      auto [it, inserted] = legacy.scored.try_emplace(keys[i]);
-      if (inserted) {
-        it->second.assign(num_es_rows, 0.0);
-        legacy.zero.erase(keys[i]);
-      }
-      it->second[static_cast<size_t>(i) % num_es_rows] += 1.0;
-    }
-  }
-  const double legacy_build_ns = legacy_build_timer.ElapsedSeconds() * 1e9 /
-                                 static_cast<double>(num_keys);
-
   // Probe both layouts, accumulating a checksum the optimizer cannot
   // drop; assert the layouts agree while at it.
-  double flat_sum = 0.0;
-  int64_t flat_hits = 0;
-  WallTimer flat_probe_timer;
-  for (int64_t p : probes) {
-    bool exists = false;
-    const double* row = flat.Find(p, &exists);
-    flat_hits += exists ? 1 : 0;
-    if (row != nullptr) flat_sum += row[0];
-  }
-  const double flat_probe_ns = flat_probe_timer.ElapsedSeconds() * 1e9 /
-                               static_cast<double>(num_probes);
-
-  // The batched probe loop the Stage-II evaluator runs: FindBatch hashes
-  // a chunk up front, prefetches every key's slot lines, then resolves,
-  // so the misses overlap instead of serializing.
-  double batch_sum = 0.0;
-  int64_t batch_hits = 0;
-  constexpr size_t kChunk = 1024;
-  std::vector<const double*> batch_rows(kChunk);
-  std::vector<char> batch_exists(kChunk);
-  WallTimer batch_probe_timer;
-  for (size_t lo = 0; lo < probes.size(); lo += kChunk) {
-    const size_t m = std::min(kChunk, probes.size() - lo);
-    flat.FindBatch(probes.data() + lo, m, batch_rows.data(),
-                   reinterpret_cast<bool*>(batch_exists.data()));
-    for (size_t j = 0; j < m; ++j) {
-      batch_hits += batch_exists[j] ? 1 : 0;
-      if (batch_rows[j] != nullptr) batch_sum += batch_rows[j][0];
+  auto probe = [&](const auto& table, double* sum, int64_t* hits) {
+    WallTimer timer;
+    for (int64_t p : probes) {
+      bool exists = false;
+      const double* row = table.Find(p, &exists);
+      *hits += exists ? 1 : 0;
+      if (row != nullptr) *sum += row[0];
     }
-  }
-  const double batch_probe_ns = batch_probe_timer.ElapsedSeconds() * 1e9 /
-                                static_cast<double>(num_probes);
-  if (batch_hits != flat_hits || batch_sum != flat_sum) {
-    std::fprintf(stderr, "FindBatch mismatch: batch %lld/%f find %lld/%f\n",
-                 static_cast<long long>(batch_hits), batch_sum,
+    return timer.ElapsedSeconds() * 1e9 / static_cast<double>(num_probes);
+  };
+  double dense_sum = 0.0;
+  double flat_sum = 0.0;
+  int64_t dense_hits = 0;
+  int64_t flat_hits = 0;
+  const double dense_probe_ns = probe(dense, &dense_sum, &dense_hits);
+  const double flat_probe_ns = probe(flat, &flat_sum, &flat_hits);
+  if (dense_hits != flat_hits || dense_sum != flat_sum) {
+    std::fprintf(stderr, "layout mismatch: dense %lld/%f flat %lld/%f\n",
+                 static_cast<long long>(dense_hits), dense_sum,
                  static_cast<long long>(flat_hits), flat_sum);
     std::abort();
   }
 
-  double legacy_sum = 0.0;
-  int64_t legacy_hits = 0;
-  WallTimer legacy_probe_timer;
-  for (int64_t p : probes) {
-    bool exists = false;
-    const std::vector<double>* row = legacy.Find(p, &exists);
-    legacy_hits += exists ? 1 : 0;
-    if (row != nullptr) legacy_sum += (*row)[0];
-  }
-  const double legacy_probe_ns = legacy_probe_timer.ElapsedSeconds() * 1e9 /
-                                 static_cast<double>(num_probes);
-
-  if (flat_hits != legacy_hits || flat_sum != legacy_sum) {
-    std::fprintf(stderr, "layout mismatch: flat %lld/%f legacy %lld/%f\n",
-                 static_cast<long long>(flat_hits), flat_sum,
-                 static_cast<long long>(legacy_hits), legacy_sum);
-    std::abort();
-  }
-
-  const double flat_bpk =
-      static_cast<double>(flat.ByteSize()) / static_cast<double>(flat.NumKeys());
-  const double legacy_bpk =
-      static_cast<double>(legacy.ByteSize()) /
-      static_cast<double>(legacy.scored.size() + legacy.zero.size());
-  tp->AddRow({std::to_string(num_es_rows), TablePrinter::Num(density, 2),
+  const double dense_bpk = static_cast<double>(dense.ByteSize()) /
+                           static_cast<double>(dense.NumKeys());
+  const double flat_bpk = static_cast<double>(flat.ByteSize()) /
+                          static_cast<double>(flat.keys.size());
+  tp->AddRow({std::to_string(num_es_rows), TablePrinter::Num(fill, 2),
+              TablePrinter::Num(dense_probe_ns, 1),
               TablePrinter::Num(flat_probe_ns, 1),
-              TablePrinter::Num(batch_probe_ns, 1),
-              TablePrinter::Num(legacy_probe_ns, 1),
-              TablePrinter::Num(legacy_probe_ns / flat_probe_ns, 2) + "x",
-              TablePrinter::Num(legacy_probe_ns / batch_probe_ns, 2) + "x",
+              TablePrinter::Num(flat_probe_ns / dense_probe_ns, 2) + "x",
+              TablePrinter::Num(dense_build_ns, 1),
               TablePrinter::Num(flat_build_ns, 1),
-              TablePrinter::Num(legacy_build_ns, 1),
-              TablePrinter::Num(flat_bpk, 1), TablePrinter::Num(legacy_bpk, 1),
-              TablePrinter::Num(100.0 * (1.0 - flat_bpk / legacy_bpk), 1) +
+              TablePrinter::Num(dense_bpk, 1), TablePrinter::Num(flat_bpk, 1),
+              TablePrinter::Num(100.0 * (1.0 - dense_bpk / flat_bpk), 1) +
                   "%"});
   const std::string section = "es_rows=" + std::to_string(num_es_rows) +
-                              "/density=" + TablePrinter::Num(density, 2);
+                              "/fill=" + TablePrinter::Num(fill, 2);
+  JsonMetric(section, "dense_probe_ns", dense_probe_ns);
   JsonMetric(section, "flat_probe_ns", flat_probe_ns);
-  JsonMetric(section, "batch_probe_ns", batch_probe_ns);
-  JsonMetric(section, "legacy_probe_ns", legacy_probe_ns);
-  JsonMetric(section, "probe_speedup", legacy_probe_ns / flat_probe_ns);
-  JsonMetric(section, "batch_probe_speedup",
-             legacy_probe_ns / batch_probe_ns);
+  JsonMetric(section, "probe_speedup", flat_probe_ns / dense_probe_ns);
+  JsonMetric(section, "dense_build_ns", dense_build_ns);
   JsonMetric(section, "flat_build_ns", flat_build_ns);
-  JsonMetric(section, "legacy_build_ns", legacy_build_ns);
+  JsonMetric(section, "dense_bytes_per_key", dense_bpk);
   JsonMetric(section, "flat_bytes_per_key", flat_bpk);
-  JsonMetric(section, "legacy_bytes_per_key", legacy_bpk);
 }
 
-void RunFlatVsLegacy(bool smoke) {
-  const int64_t num_keys = EnvInt("S4_BENCH_FLAT_KEYS", smoke ? 20000 : 50000);
+void RunDenseVsFlat(bool smoke) {
+  const int64_t domain_rows =
+      EnvInt("S4_BENCH_FLAT_KEYS", smoke ? 20000 : 50000);
   const int64_t num_probes =
       EnvInt("S4_BENCH_FLAT_PROBES", smoke ? 200000 : 2000000);
   std::printf(
-      "Flat-arena SubQueryTable vs legacy chained-hash layout"
-      " (%lld keys, %lld probes per config, simd=%s)\n",
-      static_cast<long long>(num_keys), static_cast<long long>(num_probes),
+      "Dense row-id SubQueryTable vs FlatMap64 layout"
+      " (%lld domain rows, %lld probes per config, simd=%s)\n",
+      static_cast<long long>(domain_rows), static_cast<long long>(num_probes),
       simd::BackendName());
-  TablePrinter tp({"es_rows", "hit density", "flat ns/probe",
-                   "batch ns/probe", "legacy ns/probe", "probe speedup",
-                   "batch speedup", "flat ns/build", "legacy ns/build",
-                   "flat B/key", "legacy B/key", "B/key saved"});
+  TablePrinter tp({"es_rows", "fill", "dense ns/probe", "flat ns/probe",
+                   "probe speedup", "dense ns/build", "flat ns/build",
+                   "dense B/key", "flat B/key", "B/key saved"});
   for (int32_t es_rows : {1, 5, 20}) {
-    for (double density : {0.1, 0.5, 0.9}) {
-      RunFlatVsLegacyConfig(es_rows, density, num_keys, num_probes, &tp);
+    for (double fill : {0.1, 0.5, 0.9}) {
+      RunDenseVsFlatConfig(es_rows, fill, domain_rows, num_probes, &tp);
     }
   }
   tp.Print();
@@ -390,7 +345,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   s4::bench::JsonMetric("config", "smoke", smoke ? 1.0 : 0.0);
-  RunFlatVsLegacy(smoke);
+  RunDenseVsFlat(smoke);
   if (smoke) return 0;  // CI gate: skip the google-benchmark section.
   int bench_argc = remaining;
   benchmark::Initialize(&bench_argc, argv);

@@ -203,10 +203,9 @@ bool JoinSampler::DiscoverSupport(const CandidateQuery& cand,
         // The parent's fk references this node: reverse-fk fan-in.
         const KfkSnapshot::ReverseFkIndex& rev =
             snap.ReverseFkOf(n.edge_to_parent);
-        const std::vector<int64_t>& pks = snap.Pk(n.table);
         for (int64_t row : frontier) {
           if (--work_left < 0) return false;
-          auto [lo, hi] = rev.RowsFor(pks[static_cast<size_t>(row)]);
+          auto [lo, hi] = rev.RowsFor(row);
           for (const uint32_t* p = lo; p != hi; ++p) {
             if (--work_left < 0) return false;
             next.push_back(static_cast<int64_t>(*p));
@@ -214,14 +213,10 @@ bool JoinSampler::DiscoverSupport(const CandidateQuery& cand,
         }
       } else {
         // This node holds the fk: at most one parent row per row.
-        const std::vector<int64_t>& fks = snap.Fk(n.edge_to_parent);
-        const std::vector<bool>& valid = snap.FkValidColumn(n.edge_to_parent);
-        const TableId parent_table = tree.node(n.parent).table;
+        const std::vector<int32_t>& fk_rows = snap.FkRow(n.edge_to_parent);
         for (int64_t row : frontier) {
           if (--work_left < 0) return false;
-          if (!valid[static_cast<size_t>(row)]) continue;
-          const int64_t prow =
-              snap.RowOfPk(parent_table, fks[static_cast<size_t>(row)]);
+          const int32_t prow = fk_rows[static_cast<size_t>(row)];
           if (prow >= 0) next.push_back(prow);
         }
       }
@@ -263,13 +258,10 @@ bool JoinSampler::WalkRow(const WalkCtx& w, TreeNodeId v, int64_t row,
     const JoinTree::Node& cn = w.tree->node(child);
     if (cn.parent_holds_fk) {
       // This node's fk points at the child: zero or one joining row,
-      // and an invalid fk or missing key kills the row exactly like
-      // the evaluator's lane death.
-      if (!snap.FkValidColumn(cn.edge_to_parent)[static_cast<size_t>(row)]) {
-        return false;
-      }
-      const int64_t crow = snap.RowOfPk(
-          cn.table, snap.Fk(cn.edge_to_parent)[static_cast<size_t>(row)]);
+      // and a NULL or dangling fk kills the row exactly like the
+      // evaluator's.
+      const int32_t crow =
+          snap.FkRow(cn.edge_to_parent)[static_cast<size_t>(row)];
       if (crow < 0) return false;
       if (!WalkRow(w, child, crow, depth + 1, cbuf, visits_left, capped)) {
         return false;
@@ -283,8 +275,7 @@ bool JoinSampler::WalkRow(const WalkCtx& w, TreeNodeId v, int64_t row,
       // drop_zero_rows = false exactly.
       const KfkSnapshot::ReverseFkIndex& rev =
           snap.ReverseFkOf(cn.edge_to_parent);
-      auto [lo, hi] = rev.RowsFor(
-          snap.Pk(w.tree->node(v).table)[static_cast<size_t>(row)]);
+      auto [lo, hi] = rev.RowsFor(row);
       bool any = false;
       for (const uint32_t* p = lo; p != hi; ++p) {
         if (!WalkRow(w, child, static_cast<int64_t>(*p), depth + 1, cbuf,

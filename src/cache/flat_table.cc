@@ -1,7 +1,5 @@
 #include "cache/flat_table.h"
 
-#include <algorithm>
-
 namespace s4 {
 
 size_t FlatMap64::CapacityFor(size_t n) {
@@ -14,32 +12,6 @@ size_t FlatMap64::CapacityFor(size_t n) {
 void FlatMap64::Reserve(size_t n) {
   const size_t target = CapacityFor(n);
   if (target > vals_.size()) Grow(target);
-}
-
-void FlatMap64::FindBatch(const int64_t* keys, size_t n,
-                          uint32_t* out) const {
-  if (size_ == 0) {
-    std::fill(out, out + n, kNotFound);
-    return;
-  }
-  uint64_t hashes[kBatchWidth];
-  for (size_t lo = 0; lo < n; lo += kBatchWidth) {
-    const size_t m = std::min(n - lo, kBatchWidth);
-    // Pass 1: hash the whole chunk and prefetch each key's ideal tag
-    // group and key cache line, so the (likely) misses are all in
-    // flight before any walk needs its data.
-    for (size_t j = 0; j < m; ++j) {
-      const uint64_t h = Mix(keys[lo + j]);
-      hashes[j] = h;
-      const size_t i = static_cast<size_t>(h >> shift_);
-      __builtin_prefetch(tags_.data() + (i & ~(kGroupWidth - 1)), 0, 3);
-      __builtin_prefetch(keys_.data() + i, 0, 3);
-    }
-    // Pass 2: resolve the probes; each walk starts on a warmed line.
-    for (size_t j = 0; j < m; ++j) {
-      out[lo + j] = FindHashed(keys[lo + j], hashes[j]);
-    }
-  }
 }
 
 void FlatMap64::Grow(size_t new_capacity) {

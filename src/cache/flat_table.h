@@ -10,22 +10,16 @@
 
 namespace s4 {
 
-// Flat open-addressing hash map from int64 join keys to uint32 payloads,
-// tuned for the hash-join hot path: robin-hood displacement bounds probe
-// chains, capacity is a power of two, and there is no deletion (the
-// evaluator only ever inserts or promotes). Slots live in three parallel
-// arrays — an int64 key array, a uint32 value array, and a 1-byte tag
-// array holding 7 low hash bits per occupied slot (0 marks empty, so an
+// Flat open-addressing hash map from int64 keys to uint32 payloads: the
+// pk -> dense-row map KfkSnapshot builds its FK row-id columns from.
+// Robin-hood displacement bounds probe chains, capacity is a power of
+// two, and there is no deletion. Slots live in three parallel arrays —
+// an int64 key array, a uint32 value array, and a 1-byte tag array
+// holding 7 low hash bits per occupied slot (0 marks empty, so an
 // occupied tag always has the 0x80 bit set). Probe walks compare 16 tags
 // at a time (src/common/simd.h) and touch the 8-byte key array only on
 // tag hits, so a miss typically costs one tag-line load instead of a
 // key-line walk.
-//
-// Batched probing: FindBatch resolves a group of keys in two passes —
-// hash every key and software-prefetch its ideal tag/key cache lines,
-// then run the probe walks — so the per-key cache misses overlap instead
-// of serializing (one dependent miss per probe). Prefetch exposes the
-// same first pass to build loops that upsert a stream of keys.
 //
 // The value 0xFFFFFFFF is reserved as the empty-slot marker; callers may
 // store any other uint32. Allocation is exact (the arrays are sized to
@@ -34,18 +28,13 @@ namespace s4 {
 class FlatMap64 {
  public:
   static constexpr uint32_t kNotFound = 0xFFFFFFFFu;  // empty-slot marker
-  // Bytes per slot across the three parallel arrays (key + value + tag);
-  // the cost model multiplies CapacityFor by this to predict ByteSize.
+  // Bytes per slot across the three parallel arrays (key + value + tag).
   static constexpr size_t kSlotBytes =
       sizeof(int64_t) + sizeof(uint32_t) + sizeof(uint8_t);
   // Tag lanes compared per probe step; capacities are multiples of this
   // (kMinCapacity == 16), so aligned groups never run off the arrays.
   static constexpr size_t kGroupWidth =
       static_cast<size_t>(simd::kGroupWidth);
-  // Keys hashed + prefetched ahead per FindBatch chunk: enough in-flight
-  // lines to cover DRAM latency without evicting the earliest prefetch
-  // before its probe resolves.
-  static constexpr size_t kBatchWidth = 16;
 
   FlatMap64() = default;
 
@@ -57,7 +46,7 @@ class FlatMap64 {
   void Reserve(size_t n);
 
   // Capacity the table settles on to hold `n` keys at the 3/4 max load
-  // factor; used by the cost model to predict ByteSize without building.
+  // factor.
   static size_t CapacityFor(size_t n);
 
   // Value stored under `key`, or kNotFound. The walk scans 16-tag groups
@@ -67,23 +56,6 @@ class FlatMap64 {
   uint32_t Find(int64_t key) const {
     if (size_ == 0) return kNotFound;
     return FindHashed(key, Mix(key));
-  }
-
-  // Batched Find: resolves `keys[0..n)` into `out[0..n)`. Hashes up to
-  // kBatchWidth keys ahead and prefetches each key's ideal tag and key
-  // cache lines before any probe walk runs, so the misses overlap.
-  // Results are exactly what n individual Find calls would return.
-  void FindBatch(const int64_t* keys, size_t n, uint32_t* out) const;
-
-  // Issues software prefetches for `key`'s ideal tag/key cache lines
-  // (and the value line when `for_write`, ahead of a FindOrInsert).
-  // Purely advisory: a following probe or insert is correct without it.
-  void Prefetch(int64_t key, bool for_write = false) const {
-    if (vals_.empty()) return;
-    const size_t i = Ideal(key);
-    __builtin_prefetch(tags_.data() + (i & ~(kGroupWidth - 1)), 0, 3);
-    __builtin_prefetch(keys_.data() + i, for_write ? 1 : 0, 3);
-    if (for_write) __builtin_prefetch(vals_.data() + i, 1, 3);
   }
 
   // Pointer to the value slot of `key`, inserting `value` if absent
@@ -179,7 +151,7 @@ class FlatMap64 {
     return (slot + vals_.size() - Ideal(key)) & mask;
   }
 
-  // The probe walk behind Find/FindBatch, with the hash precomputed.
+  // The probe walk behind Find, with the hash precomputed.
   // Group-aligned: the first group masks off lanes before the ideal
   // slot, every later group considers all 16. Lanes past a chain's end
   // can hold other chains' residents, but a tag+key double hit there

@@ -1,7 +1,6 @@
 #ifndef S4_CACHE_SUBQUERY_CACHE_H_
 #define S4_CACHE_SUBQUERY_CACHE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <list>
@@ -11,95 +10,70 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cache/flat_table.h"
 #include "obs/run_stats.h"
 
 namespace s4 {
 
 // The materialized output relation of a (sub-)PJ query in the form the
-// hash-join execution plan consumes (Appendix B.1/B.2): one flat
-// open-addressing table mapping each join key to a row of a contiguous
+// join execution plan consumes (Appendix B.1/B.2). Every join key is a
+// dense row id of the link's domain relation (see LinkSpec), so the
+// table is one uint32 slot per domain row plus a contiguous
 // `num_es_rows`-strided double arena holding the per-example-row best
-// partial similarity scores of the subtree. Keys that join but carry
-// all-zero scores (needed for exact inner-join semantics) map to the
-// sentinel row id kZeroRow instead of an arena row, so they cost one
-// 12-byte slot and no payload.
+// partial similarity scores of the subtree. A slot holds kNotJoined, the
+// sentinel kZeroRow for a key that joins with all-zero scores (needed
+// for exact inner-join semantics; it costs no arena row), or the
+// key's arena row. There is no hashing: a probe is one array read.
 struct SubQueryTable {
-  // Sentinel arena-row id for keys that join with all-zero scores.
+  static constexpr uint32_t kNotJoined = 0xFFFFFFFFu;
   static constexpr uint32_t kZeroRow = 0xFFFFFFFEu;
 
-  int32_t num_es_rows = 0;
-  FlatMap64 keys;             // join key -> arena row id or kZeroRow
-  std::vector<double> arena;  // NumScored() rows, num_es_rows doubles each
+  SubQueryTable() = default;
+  // An empty table over a domain of `domain_rows` rows.
+  SubQueryTable(int64_t domain_rows, int32_t es_rows)
+      : num_es_rows(es_rows),
+        slots(static_cast<size_t>(domain_rows), kNotJoined) {}
 
-  // Scores for `key`: pointer to its num_es_rows-wide arena row,
-  // nullptr+exists for zero keys, nullptr+!exists when the key does not
-  // join. The pointer stays valid while the table is not mutated.
+  int32_t num_es_rows = 0;
+  std::vector<uint32_t> slots;  // per domain row: kNotJoined, kZeroRow or row
+  std::vector<double> arena;    // NumScored() rows, num_es_rows doubles each
+  int64_t num_keys = 0;         // slots other than kNotJoined
+
+  // Scores for domain row `key`: pointer to its num_es_rows-wide arena
+  // row, nullptr+exists for zero keys, nullptr+!exists when the key
+  // does not join. The pointer stays valid while the table is not
+  // mutated.
   const double* Find(int64_t key, bool* exists) const {
-    const uint32_t row = keys.Find(key);
-    if (row == FlatMap64::kNotFound) {
-      *exists = false;
-      return nullptr;
-    }
-    *exists = true;
-    if (row == kZeroRow) return nullptr;
-    return arena.data() + static_cast<size_t>(row) * num_es_rows;
+    const uint32_t slot = slots[static_cast<size_t>(key)];
+    *exists = slot != kNotJoined;
+    return slot >= kZeroRow ? nullptr : Row(slot);
   }
 
   // Mutable arena row for `key`, allocating a fresh zero-filled row when
   // the key is new or promoting it when it was a zero sentinel; `*fresh`
   // reports which. The pointer is invalidated by the next Upsert.
   double* UpsertScored(int64_t key, bool* fresh) {
-    bool inserted = false;
-    uint32_t* slot = keys.FindOrInsert(key, 0, &inserted);
-    if (inserted || *slot == kZeroRow) {
-      const uint32_t row =
-          static_cast<uint32_t>(arena.size() / static_cast<size_t>(num_es_rows));
-      *slot = row;
+    uint32_t& slot = slots[static_cast<size_t>(key)];
+    *fresh = slot >= kZeroRow;
+    if (*fresh) {
+      if (slot == kNotJoined) ++num_keys;
+      slot = static_cast<uint32_t>(NumScored());
       arena.resize(arena.size() + static_cast<size_t>(num_es_rows), 0.0);
-      *fresh = true;
-      return arena.data() + static_cast<size_t>(row) * num_es_rows;
     }
-    *fresh = false;
-    return arena.data() + static_cast<size_t>(*slot) * num_es_rows;
+    return arena.data() + static_cast<size_t>(slot) * num_es_rows;
   }
 
   // Records that `key` joins with all-zero scores; no-op when the key is
   // already present (scored or zero). True if newly inserted.
   bool InsertZero(int64_t key) {
-    bool inserted = false;
-    keys.FindOrInsert(key, kZeroRow, &inserted);
-    return inserted;
+    uint32_t& slot = slots[static_cast<size_t>(key)];
+    if (slot != kNotJoined) return false;
+    slot = kZeroRow;
+    ++num_keys;
+    return true;
   }
 
-  // Batched Find over `probe_keys[0..n)`: fills `rows[j]` / `exists[j]`
-  // with exactly what Find(probe_keys[j], ...) would produce, but
-  // resolves the key-table probes through FlatMap64::FindBatch so the
-  // slot cache misses overlap. The row pointers stay valid while the
-  // table is not mutated.
-  void FindBatch(const int64_t* probe_keys, size_t n, const double** rows,
-                 bool* exists) const {
-    uint32_t ids[FlatMap64::kBatchWidth];
-    for (size_t lo = 0; lo < n; lo += FlatMap64::kBatchWidth) {
-      const size_t m = std::min(n - lo, FlatMap64::kBatchWidth);
-      keys.FindBatch(probe_keys + lo, m, ids);
-      for (size_t j = 0; j < m; ++j) {
-        const uint32_t row = ids[j];
-        exists[lo + j] = row != FlatMap64::kNotFound;
-        rows[lo + j] =
-            (row == FlatMap64::kNotFound || row == kZeroRow)
-                ? nullptr
-                : arena.data() + static_cast<size_t>(row) * num_es_rows;
-      }
-    }
-  }
-
-  // Warms the key-table cache lines an UpsertScored(key) is about to
-  // touch; advisory only. Build loops call this a few keys ahead of the
-  // upsert so the slot line loads overlap the arena writes.
-  void PrefetchUpsert(int64_t key) const { keys.Prefetch(key, true); }
-
-  int64_t NumKeys() const { return static_cast<int64_t>(keys.size()); }
+  int64_t DomainRows() const { return static_cast<int64_t>(slots.size()); }
+  int64_t NumKeys() const { return num_keys; }
   int64_t NumScored() const {
     return num_es_rows == 0
                ? 0
@@ -108,49 +82,42 @@ struct SubQueryTable {
   }
   int64_t NumZero() const { return NumKeys() - NumScored(); }
 
-  // Calls f(key) for every joining key (scored and zero), in slot order.
-  template <typename F>
-  void ForEachKey(F&& f) const {
-    keys.ForEach([&](int64_t key, uint32_t) { f(key); });
-  }
-
-  // Calls f(key, row) for every joining key in slot order, `row`
-  // pointing at its arena row or nullptr for zero-score keys — the
-  // key-and-payload walk the evaluator's batched Stage-II loop seeds
-  // from (one pass instead of ForEachKey + a re-probe per key).
+  // Calls f(key, row) for every joining key in ascending key order,
+  // `row` pointing at its arena row or nullptr for zero-score keys.
   template <typename F>
   void ForEachEntry(F&& f) const {
-    keys.ForEach([&](int64_t key, uint32_t row) {
-      f(key, row == kZeroRow
-                 ? nullptr
-                 : arena.data() + static_cast<size_t>(row) * num_es_rows);
-    });
+    for (size_t key = 0; key < slots.size(); ++key) {
+      const uint32_t slot = slots[key];
+      if (slot == kNotJoined) continue;
+      f(static_cast<int64_t>(key), slot == kZeroRow ? nullptr : Row(slot));
+    }
   }
 
-  // Calls f(key, row) for every scored key, `row` pointing at its
-  // num_es_rows-wide arena row.
+  // Calls f(key, row) for every scored key in ascending key order, `row`
+  // pointing at its num_es_rows-wide arena row.
   template <typename F>
   void ForEachScored(F&& f) const {
-    keys.ForEach([&](int64_t key, uint32_t row) {
-      if (row != kZeroRow) {
-        f(key, arena.data() + static_cast<size_t>(row) * num_es_rows);
-      }
-    });
+    for (size_t key = 0; key < slots.size(); ++key) {
+      const uint32_t slot = slots[key];
+      if (slot < kZeroRow) f(static_cast<int64_t>(key), Row(slot));
+    }
   }
-
-  // Pre-sizes the key table for `n` keys (the arena grows on demand).
-  void Reserve(size_t n) { keys.Reserve(n); }
 
   // Drops arena growth slack once building is done, so cached tables are
   // charged (and occupy) exactly what they use.
   void ShrinkToFit() { arena.shrink_to_fit(); }
 
-  // Exact bytes: the flat table's slot arrays at capacity plus the arena
-  // allocation. Both allocate exactly their capacity, so the cache
-  // budget B, eviction order, and the Fig. 8 sweep see true memory.
+  // Exact bytes: 4 per domain row plus the arena allocation. Both
+  // allocate exactly their capacity, so the cache budget B, eviction
+  // order, and the Fig. 8 sweep see true memory.
   size_t ByteSize() const {
-    return sizeof(SubQueryTable) + keys.ByteSize() +
+    return sizeof(SubQueryTable) + slots.capacity() * sizeof(uint32_t) +
            arena.capacity() * sizeof(double);
+  }
+
+ private:
+  const double* Row(uint32_t slot) const {
+    return arena.data() + static_cast<size_t>(slot) * num_es_rows;
   }
 };
 

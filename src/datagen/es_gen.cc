@@ -135,25 +135,8 @@ Status EsGenerator::Init(int32_t min_text_columns, int32_t max_tree_size,
   return Status::OK();
 }
 
-const std::vector<int32_t>& EsGenerator::ReverseRows(SchemaEdgeId edge,
-                                                     int64_t pk) {
-  auto& per_edge = reverse_fk_[edge];
-  if (per_edge.empty()) {
-    const KfkSnapshot& snap = index_->snapshot();
-    const std::vector<int64_t>& fks = snap.Fk(edge);
-    for (size_t r = 0; r < fks.size(); ++r) {
-      if (snap.FkValid(edge, static_cast<int64_t>(r))) {
-        per_edge[fks[r]].push_back(static_cast<int32_t>(r));
-      }
-    }
-  }
-  auto it = per_edge.find(pk);
-  return it == per_edge.end() ? empty_rows_ : it->second;
-}
-
 std::vector<int64_t> EsGenerator::SampleJoinRow(const JoinTree& tree) {
   const KfkSnapshot& snap = index_->snapshot();
-  const Database& db = index_->db();
   std::vector<int64_t> rows(tree.size(), -1);
   const TableId root_table = tree.node(0).table;
   if (snap.NumRows(root_table) == 0) return {};
@@ -164,19 +147,15 @@ std::vector<int64_t> EsGenerator::SampleJoinRow(const JoinTree& tree) {
     const int64_t parent_row = rows[n.parent];
     if (n.parent_holds_fk) {
       // Parent references this node: follow the FK.
-      if (!snap.FkValid(n.edge_to_parent, parent_row)) return {};
-      const int64_t pk = snap.Fk(n.edge_to_parent)[parent_row];
-      const int64_t r = db.table(n.table).FindByPk(pk);
+      const int32_t r = snap.FkRow(n.edge_to_parent)[parent_row];
       if (r < 0) return {};
       rows[v] = r;
     } else {
       // This node references the parent: pick among the referencing rows.
-      const int64_t parent_pk =
-          snap.Pk(tree.node(n.parent).table)[parent_row];
-      const std::vector<int32_t>& candidates =
-          ReverseRows(n.edge_to_parent, parent_pk);
-      if (candidates.empty()) return {};
-      rows[v] = candidates[rng_.Uniform(candidates.size())];
+      auto [lo, hi] =
+          snap.ReverseFkOf(n.edge_to_parent).RowsFor(parent_row);
+      if (lo == hi) return {};
+      rows[v] = lo[rng_.Uniform(static_cast<uint64_t>(hi - lo))];
     }
   }
   return rows;

@@ -1,7 +1,6 @@
 #ifndef S4_DATAGEN_ES_GEN_H_
 #define S4_DATAGEN_ES_GEN_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -69,9 +68,6 @@ class EsGenerator {
     std::vector<std::pair<TreeNodeId, int32_t>> text_columns;
   };
 
-  // Rows of `edge`'s source table whose FK equals `pk` (lazily built).
-  const std::vector<int32_t>& ReverseRows(SchemaEdgeId edge, int64_t pk);
-
   // Samples one joint row assignment for `tree` (row id per node), or
   // empty on dead-end.
   std::vector<int64_t> SampleJoinRow(const JoinTree& tree);
@@ -83,10 +79,6 @@ class EsGenerator {
   const SchemaGraph* graph_;
   Rng rng_;
   std::vector<SourceQuery> pool_;
-  std::unordered_map<SchemaEdgeId,
-                     std::unordered_map<int64_t, std::vector<int32_t>>>
-      reverse_fk_;
-  std::vector<int32_t> empty_rows_;
 };
 
 }  // namespace s4::datagen

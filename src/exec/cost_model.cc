@@ -25,16 +25,21 @@ int64_t EvaluationCost(const JoinTree& tree,
   return cost;
 }
 
-size_t EstimateTableBytes(const JoinTree& tree, const ScoreContext& ctx) {
-  const size_t root_rows = static_cast<size_t>(
-      ctx.index().snapshot().NumRows(tree.node(tree.root()).table));
-  // Mirrors SubQueryTable::ByteSize(): one flat-table slot per emitted
-  // key at the capacity the table would grow to (kSlotBytes covers the
-  // key, payload, and 1-byte probe-tag arrays), plus one
-  // num_es_rows-strided arena row per scored key.
-  return FlatMap64::CapacityFor(root_rows) * FlatMap64::kSlotBytes +
-         root_rows * sizeof(double) * static_cast<size_t>(ctx.NumEsRows()) +
-         sizeof(SubQueryTable);
+TableBytesEstimate EstimateTableBytes(const JoinTree& tree,
+                                      const LinkSpec& link,
+                                      const ScoreContext& ctx) {
+  const KfkSnapshot& snap = ctx.index().snapshot();
+  const TableId root_table = tree.node(tree.root()).table;
+  const size_t root_rows = static_cast<size_t>(snap.NumRows(root_table));
+  const size_t domain_rows =
+      static_cast<size_t>(snap.NumRows(LinkDomain(link, root_table)));
+  // Mirrors SubQueryTable::ByteSize(). Every root row emits at most one
+  // key, so at most min(root, domain) keys hold an arena row.
+  TableBytesEstimate est;
+  est.slot_bytes = sizeof(SubQueryTable) + domain_rows * sizeof(uint32_t);
+  est.arena_bytes = std::min(root_rows, domain_rows) * sizeof(double) *
+                    static_cast<size_t>(ctx.NumEsRows());
+  return est;
 }
 
 int64_t EvaluationCostWithCache(const PJQuery& q,
@@ -59,7 +64,7 @@ int64_t EvaluationCostWithCache(const PJQuery& q,
   int64_t savings = 0;
   for (const SubPJQuery* s : sorted) {
     if (!cache.Contains(s->cache_key + RelationGenSuffix(s->tree, gens) +
-                        rows_suffix)) {
+                        LinkGenSuffix(s->link, gens) + rows_suffix)) {
       continue;
     }
     std::vector<TreeNodeId> nodes = q.tree().DescendantsOf(s->anchor);

@@ -23,10 +23,17 @@ inline int64_t EvaluationCost(const PJQuery& q, const ScoreContext& ctx) {
 }
 
 // Size estimate |A(Q')| of the materialized output relation of a sub-PJ
-// query, in bytes: rows of the root relation times the per-entry
-// footprint (key + per-ES-row scores + bucket overhead). Used by the
-// scheduler to respect the cache budget B (Sec 5.3.2).
-size_t EstimateTableBytes(const JoinTree& tree, const ScoreContext& ctx);
+// query keyed by `link`, in bytes, in SubQueryTable::ByteSize()'s two
+// terms. Used by the scheduler to respect the cache budget B
+// (Sec 5.3.2).
+struct TableBytesEstimate {
+  size_t slot_bytes = 0;   // exact: the header plus 4 per domain row
+  size_t arena_bytes = 0;  // upper bound: every root row scored
+  size_t total() const { return slot_bytes + arena_bytes; }
+};
+TableBytesEstimate EstimateTableBytes(const JoinTree& tree,
+                                      const LinkSpec& link,
+                                      const ScoreContext& ctx);
 
 // cost(Q, M) of evaluating Q reusing the cached output relations of its
 // maximal cached sub-PJ queries (Eq. 13): cost(Q) minus their costs.

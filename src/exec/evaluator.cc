@@ -34,14 +34,18 @@ void Evaluator::ComputeOwnSims(const Ctx& c, TreeNodeId v,
   const ResolvedSpreadsheet& rs = ctx_->resolved();
   const IndexSet& index = ctx_->index();
   const bool bonus = ctx_->params().exact_match_bonus != 0.0;
-  own->num_es_rows = rs.num_rows;
+  const TableId table = c.tree->node(v).table;
   std::unordered_map<int32_t, int32_t> matchcnt;
   bool fresh = false;
 
   for (const ProjectionBinding& b : *c.bindings) {
     if (b.node != v) continue;
-    const int32_t gid = index.column_ids().Gid(
-        ColumnRef{c.tree->node(v).table, b.column});
+    // Sized on the first binding, so a node without one allocates none.
+    if (own->slots.empty()) {
+      *own = SubQueryTable(index.snapshot().NumRows(table), rs.num_rows);
+    }
+    const int32_t gid =
+        index.column_ids().Gid(ColumnRef{table, b.column});
     const std::vector<uint16_t>* lengths =
         bonus ? index.CellLengths(gid) : nullptr;
     for (int32_t t : c.es_rows) {
@@ -60,16 +64,9 @@ void Evaluator::ComputeOwnSims(const Ctx& c, TreeNodeId v,
               static_cast<int64_t>(plist->size());
           const double weight = ctx_->TermWeight(w, gid);
           if (single) {
-            // Build-side software pipelining: warm the slot lines of the
-            // upsert a few postings ahead, so the table's cache misses
-            // overlap the arena writes. Upsert order is unchanged.
-            constexpr size_t kAhead = 8;
-            const Posting* pd = plist->data();
-            const size_t np = plist->size();
-            for (size_t pi = 0; pi < np; ++pi) {
-              if (pi + kAhead < np) own->PrefetchUpsert(pd[pi + kAhead].row);
-              own->UpsertScored(pd[pi].row, &fresh)[t] += weight;
-              if (bonus) ++matchcnt[pd[pi].row];
+            for (const Posting& p : *plist) {
+              own->UpsertScored(p.row, &fresh)[t] += weight;
+              if (bonus) ++matchcnt[p.row];
             }
           } else {
             for (const Posting& p : *plist) {
@@ -109,7 +106,7 @@ std::shared_ptr<const SubQueryTable> Evaluator::EvalNode(
   if (c.cache != nullptr) {
     key = SubtreeCacheKey(tree, *c.bindings, v, link) +
           RelationGenSuffix(tree, v, /*include_parent=*/false, *c.gens) +
-          c.rows_suffix;
+          LinkGenSuffix(link, *c.gens) + c.rows_suffix;
     std::shared_ptr<const SubQueryTable> hit = c.cache->Get(key);
     if (c.options->trace != nullptr) {
       c.options->trace->AddInstant(
@@ -154,13 +151,21 @@ std::shared_ptr<const SubQueryTable> Evaluator::EvalNode(
 
   obs::SpanTimer build_span(c.options->trace, "cache", "build_table");
 
-  // Recursively evaluate the remaining children bottom-up.
-  std::vector<std::pair<TreeNodeId, std::shared_ptr<const SubQueryTable>>>
-      child_tables;
+  // Recursively evaluate the remaining children bottom-up. A child whose
+  // parent (this node) holds the FK is probed through that FK's row-id
+  // column; otherwise the child's table is keyed by this node's rows.
+  struct ChildProbe {
+    std::shared_ptr<const SubQueryTable> table;
+    const int32_t* fk_rows;  // nullptr: probe with this node's row id
+  };
+  std::vector<ChildProbe> probes;
   for (TreeNodeId child : children) {
     if (child == covered_child) continue;
-    child_tables.emplace_back(
-        child, EvalNode(c, child, LinkSpecFor(tree, child)));
+    const JoinTree::Node& cn = tree.node(child);
+    probes.push_back(ChildProbe{
+        EvalNode(c, child, LinkSpecFor(tree, child)),
+        cn.parent_holds_fk ? snap.FkRow(cn.edge_to_parent).data()
+                           : nullptr});
   }
 
   // Stage I: this node's own cell similarities (folded into `base`
@@ -169,53 +174,16 @@ std::shared_ptr<const SubQueryTable> Evaluator::EvalNode(
   if (base == nullptr) ComputeOwnSims(c, v, &own);
 
   const TableId table_id = tree.node(v).table;
-  const std::vector<int64_t>& pks = snap.Pk(table_id);
   const int32_t num_es_rows = ctx_->resolved().num_rows;
-
-  auto out = std::make_shared<SubQueryTable>();
-  out->num_es_rows = num_es_rows;
-
-  // Row loop (Stage II), restructured around memory-level parallelism:
-  // rows advance in kProbeBatch-wide lanes instead of one dependent
-  // cache miss at a time. Per batch: seeds stream from the type-ii
-  // table's slot walk (or batched probes of the own-sims table), each
-  // remaining child subtree is probed for all live lanes at once through
-  // the hash-ahead/prefetch FindBatch, and similarities accumulate into
-  // one contiguous per-batch buffer before being emitted in row order.
-  // Lane death (invalid FK, non-joining key) short-circuits that lane's
-  // later children exactly like the serial `break`, so every counter —
-  // and, because the per-row arithmetic order (seed copy, child
-  // additions in child order, ordered max-merge emit) is unchanged,
-  // every score bit — matches the one-row-at-a-time loop.
-  static constexpr size_t kProbeBatch = FlatMap64::kBatchWidth;
-
-  // When a type-ii table supplies the joining rows, walk its entries
-  // once (key + seed row together) and resolve the pk->row ids with
-  // batched, prefetched probes of the snapshot's flat index.
-  std::vector<int64_t> base_rows;
-  std::vector<const double*> base_seeds;
-  if (base != nullptr) {
-    const size_t nb = static_cast<size_t>(base->NumKeys());
-    std::vector<int64_t> base_pks;
-    base_pks.reserve(nb);
-    base_seeds.reserve(nb);
-    base->ForEachEntry([&](int64_t pk, const double* row) {
-      base_pks.push_back(pk);
-      base_seeds.push_back(row);
-    });
-    base_rows.resize(base_pks.size());
-    snap.RowOfPkBatch(table_id, base_pks.data(), base_pks.size(),
-                      base_rows.data());
-    c.counters->hash_lookups += static_cast<int64_t>(base_rows.size());
-  }
-  const int64_t limit = base != nullptr
-                            ? static_cast<int64_t>(base_rows.size())
-                            : snap.NumRows(table_id);
-  c.counters->rows_scanned += limit;
+  auto out = std::make_shared<SubQueryTable>(
+      snap.NumRows(LinkDomain(link, table_id)), num_es_rows);
+  const int32_t* link_rows = link.kind == LinkSpec::Kind::kByFk
+                                 ? snap.FkRow(link.edge).data()
+                                 : nullptr;
 
   // Full-row runs (the common plain-search case) accumulate over the
   // whole contiguous arena row, which keeps the inner loops index-free
-  // and auto-vectorizable; row-subset runs iterate es_rows as before.
+  // and auto-vectorizable; row-subset runs iterate es_rows.
   bool full_rows = static_cast<int32_t>(c.es_rows.size()) == num_es_rows;
   if (full_rows) {
     for (int32_t t = 0; t < num_es_rows; ++t) {
@@ -225,171 +193,84 @@ std::shared_ptr<const SubQueryTable> Evaluator::EvalNode(
       }
     }
   }
-
   const size_t stride = static_cast<size_t>(num_es_rows);
-  std::vector<double> batch_sims(kProbeBatch * stride);
-  int64_t lane_row[kProbeBatch];          // dense row id per lane
-  bool alive[kProbeBatch];                // lane still joining
-  const double* seed_rows[kProbeBatch];
-  bool seed_exists[kProbeBatch];
-  int64_t own_keys[kProbeBatch];
-  int64_t probe_keys[kProbeBatch];        // packed live-lane probes
-  size_t packed_lane[kProbeBatch];
-  const double* child_rows[kProbeBatch];
-  bool child_exists[kProbeBatch];
-  int64_t out_keys[kProbeBatch];
-  bool emit[kProbeBatch];
+  std::vector<double> sims(stride);
+  int64_t lookups = 0;
+  int64_t inserts = 0;
 
-  for (int64_t lo = 0; lo < limit; lo += static_cast<int64_t>(kProbeBatch)) {
-    const size_t lanes = static_cast<size_t>(
-        std::min<int64_t>(static_cast<int64_t>(kProbeBatch), limit - lo));
-
-    // Lane setup: dense row id + seed pointer, mirroring the serial
-    // r < 0 skip. Seeds for the no-base path come from batched probes
-    // of the own-sims table (keyed by dense row id); a missing row is
-    // an all-zero seed, like the serial nullptr result.
-    if (base != nullptr) {
-      for (size_t l = 0; l < lanes; ++l) {
-        const int64_t r = base_rows[static_cast<size_t>(lo) + l];
-        lane_row[l] = r;
-        alive[l] = r >= 0;
-        seed_rows[l] = base_seeds[static_cast<size_t>(lo) + l];
-      }
+  // Stage II for one row r of this node: seed with its own (or type-ii)
+  // similarities, add each child's in child order — a child that does
+  // not join drops the row — then max-merge the sum into the output
+  // slot of r's link key. Adding a 0.0 is a bitwise no-op on these
+  // non-negative scores, so zero-score children are skipped.
+  auto join_row = [&](int64_t r, const double* seed) {
+    if (seed != nullptr) {
+      std::copy(seed, seed + stride, sims.begin());
     } else {
-      for (size_t l = 0; l < lanes; ++l) {
-        lane_row[l] = lo + static_cast<int64_t>(l);
-        alive[l] = true;
-        own_keys[l] = lane_row[l];
-      }
-      own.FindBatch(own_keys, lanes, seed_rows, seed_exists);
+      std::fill(sims.begin(), sims.end(), 0.0);
     }
-
-    // Seed the contiguous batch buffer.
-    for (size_t l = 0; l < lanes; ++l) {
-      if (!alive[l]) continue;
-      double* dst = batch_sims.data() + l * stride;
-      const double* seed = seed_rows[l];
-      if (seed != nullptr) {
-        std::copy(seed, seed + stride, dst);
-      } else {
-        std::fill(dst, dst + stride, 0.0);
-      }
-    }
-
-    // Join with every remaining child subtree: pack the live lanes'
-    // probe keys, batch-probe the child table, then stream the hits
-    // into the batch buffer. The adds are unconditional — a 0.0 addend
-    // is a bitwise no-op on these non-negative scores — so the
-    // accumulation loop carries no data-dependent branches.
-    for (const auto& [child, ctab] : child_tables) {
-      const JoinTree::Node& cn = tree.node(child);
-      size_t packed = 0;
-      if (cn.parent_holds_fk) {
-        // This node's FK references the child relation.
-        const std::vector<int64_t>& fks = snap.Fk(cn.edge_to_parent);
-        const std::vector<bool>& fk_valid =
-            snap.FkValidColumn(cn.edge_to_parent);
-        for (size_t l = 0; l < lanes; ++l) {
-          if (!alive[l]) continue;
-          if (!fk_valid[static_cast<size_t>(lane_row[l])]) {
-            alive[l] = false;
-            continue;
-          }
-          probe_keys[packed] = fks[static_cast<size_t>(lane_row[l])];
-          packed_lane[packed++] = l;
-        }
-      } else {
-        for (size_t l = 0; l < lanes; ++l) {
-          if (!alive[l]) continue;
-          probe_keys[packed] = pks[static_cast<size_t>(lane_row[l])];
-          packed_lane[packed++] = l;
-        }
-      }
-      if (packed == 0) continue;
-      c.counters->hash_lookups += static_cast<int64_t>(packed);
-      ctab->FindBatch(probe_keys, packed, child_rows, child_exists);
-      for (size_t p = 0; p < packed; ++p) {
-        const size_t l = packed_lane[p];
-        if (!child_exists[p]) {
-          alive[l] = false;
-          continue;
-        }
-        const double* cs = child_rows[p];
-        if (cs == nullptr) continue;
-        double* dst = batch_sims.data() + l * stride;
-        if (full_rows) {
-          for (size_t t = 0; t < stride; ++t) dst[t] += cs[t];
-        } else {
-          for (int32_t t : c.es_rows) dst[t] += cs[t];
-        }
-      }
-    }
-
-    // Stage II-B: emit surviving lanes under their link keys. Pass 1
-    // resolves the keys and warms the output table's slot lines; pass 2
-    // upserts in row order, so insertion order — and with it robin-hood
-    // layout, arena row ids, and growth points — matches serial.
-    const std::vector<int64_t>* link_fks = nullptr;
-    const std::vector<bool>* link_fk_valid = nullptr;
-    if (link.kind == LinkSpec::Kind::kByFk) {
-      link_fks = &snap.Fk(link.edge);
-      link_fk_valid = &snap.FkValidColumn(link.edge);
-    }
-    for (size_t l = 0; l < lanes; ++l) {
-      emit[l] = false;
-      if (!alive[l]) continue;
-      const int64_t r = lane_row[l];
-      if (link.kind == LinkSpec::Kind::kByPk) {
-        out_keys[l] = pks[static_cast<size_t>(r)];
-      } else {
-        if (!(*link_fk_valid)[static_cast<size_t>(r)]) continue;
-        out_keys[l] = (*link_fks)[static_cast<size_t>(r)];
-      }
-      emit[l] = true;
-      out->PrefetchUpsert(out_keys[l]);
-    }
-    for (size_t l = 0; l < lanes; ++l) {
-      if (!emit[l]) continue;
-      const double* sims = batch_sims.data() + l * stride;
-      // All contributions are >= 0, so a positive final value appears
-      // exactly when some seed or child contribution was positive —
-      // the same predicate the serial loop tracked incrementally.
-      bool nonzero = false;
+    for (const ChildProbe& p : probes) {
+      const int64_t slot = p.fk_rows != nullptr ? p.fk_rows[r] : r;
+      if (slot < 0) return;  // NULL or dangling FK
+      ++lookups;
+      bool exists = false;
+      const double* cs = p.table->Find(slot, &exists);
+      if (!exists) return;
+      if (cs == nullptr) continue;
       if (full_rows) {
-        for (size_t t = 0; t < stride; ++t) {
-          if (sims[t] > 0.0) {
-            nonzero = true;
-            break;
-          }
-        }
+        for (size_t t = 0; t < stride; ++t) sims[t] += cs[t];
       } else {
-        for (int32_t t : c.es_rows) {
-          if (sims[t] > 0.0) {
-            nonzero = true;
-            break;
-          }
+        for (int32_t t : c.es_rows) sims[t] += cs[t];
+      }
+    }
+    const int64_t out_key = link_rows != nullptr ? link_rows[r] : r;
+    if (out_key < 0) return;
+    // All contributions are >= 0, so a positive final value appears
+    // exactly when some seed or child contribution was positive.
+    bool nonzero = false;
+    if (full_rows) {
+      for (size_t t = 0; t < stride && !nonzero; ++t) nonzero = sims[t] > 0.0;
+    } else {
+      for (int32_t t : c.es_rows) {
+        if (sims[t] > 0.0) {
+          nonzero = true;
+          break;
         }
       }
-      if (nonzero) {
-        bool fresh = false;
-        double* row = out->UpsertScored(out_keys[l], &fresh);
-        if (fresh) {
-          std::copy(sims, sims + stride, row);
-        } else if (full_rows) {
-          for (size_t t = 0; t < stride; ++t) {
-            row[t] = std::max(row[t], sims[t]);
-          }
-        } else {
-          for (int32_t t : c.es_rows) {
-            row[t] = std::max(row[t], sims[t]);
-          }
-        }
-        ++c.counters->hash_inserts;
-      } else if (!c.options->drop_zero_rows) {
-        if (out->InsertZero(out_keys[l])) ++c.counters->hash_inserts;
+    }
+    if (nonzero) {
+      bool fresh = false;
+      double* row = out->UpsertScored(out_key, &fresh);
+      if (fresh) {
+        std::copy(sims.begin(), sims.end(), row);
+      } else if (full_rows) {
+        for (size_t t = 0; t < stride; ++t) row[t] = std::max(row[t], sims[t]);
+      } else {
+        for (int32_t t : c.es_rows) row[t] = std::max(row[t], sims[t]);
       }
+      ++inserts;
+    } else if (!c.options->drop_zero_rows) {
+      if (out->InsertZero(out_key)) ++inserts;
+    }
+  };
+
+  if (base != nullptr) {
+    // The type-ii table is keyed by this node's rows: its entries are
+    // exactly the rows that join, each with its seed. Each counts as
+    // one slot read, like a probe.
+    c.counters->rows_scanned += base->NumKeys();
+    lookups += base->NumKeys();
+    base->ForEachEntry(join_row);
+  } else {
+    const int64_t rows = snap.NumRows(table_id);
+    c.counters->rows_scanned += rows;
+    bool unused = false;
+    for (int64_t r = 0; r < rows; ++r) {
+      join_row(r, own.slots.empty() ? nullptr : own.Find(r, &unused));
     }
   }
+  c.counters->hash_lookups += lookups;
+  c.counters->hash_inserts += inserts;
 
   // Cached (and returned) tables are charged exactly what they use.
   out->ShrinkToFit();

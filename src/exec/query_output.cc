@@ -1,6 +1,5 @@
 #include "exec/query_output.h"
 
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -31,22 +30,6 @@ class OutputExecutor {
   }
 
  private:
-  // Rows of `edge`'s source table referencing primary key `pk`.
-  const std::vector<int32_t>& ReverseRows(SchemaEdgeId edge, int64_t pk) {
-    auto& per_edge = reverse_[edge];
-    if (per_edge.empty()) {
-      const std::vector<int64_t>& fks = snap_.Fk(edge);
-      for (size_t r = 0; r < fks.size(); ++r) {
-        if (snap_.FkValid(edge, static_cast<int64_t>(r))) {
-          per_edge[fks[r]].push_back(static_cast<int32_t>(r));
-        }
-      }
-      if (per_edge.empty()) per_edge[-1] = {};  // mark built
-    }
-    auto it = per_edge.find(pk);
-    return it == per_edge.end() ? empty_ : it->second;
-  }
-
   void Descend(TreeNodeId v) {
     if (done_) return;
     const JoinTree& tree = query_.tree();
@@ -68,18 +51,16 @@ class OutputExecutor {
     const int64_t parent_row = rows_[n.parent];
     if (n.parent_holds_fk) {
       // Parent's FK determines a single joining row.
-      if (!snap_.FkValid(n.edge_to_parent, parent_row)) return;
-      const int64_t pk = snap_.Fk(n.edge_to_parent)[parent_row];
-      const int64_t r = db_.table(table).FindByPk(pk);
+      const int32_t r = snap_.FkRow(n.edge_to_parent)[parent_row];
       if (r < 0) return;
       rows_[v] = r;
       Descend(v + 1);
     } else {
-      const int64_t parent_pk =
-          snap_.Pk(tree.node(n.parent).table)[parent_row];
-      for (int32_t r : ReverseRows(n.edge_to_parent, parent_pk)) {
+      auto [lo, hi] =
+          snap_.ReverseFkOf(n.edge_to_parent).RowsFor(parent_row);
+      for (const uint32_t* r = lo; r != hi; ++r) {
         if (done_) return;
-        rows_[v] = r;
+        rows_[v] = *r;
         Descend(v + 1);
       }
     }
@@ -164,10 +145,6 @@ class OutputExecutor {
   const Database& db_;
   const KfkSnapshot& snap_;
   std::vector<int64_t> rows_;
-  std::unordered_map<SchemaEdgeId,
-                     std::unordered_map<int64_t, std::vector<int32_t>>>
-      reverse_;
-  std::vector<int32_t> empty_;
   std::vector<int32_t> pending_best_;
   bool done_ = false;
 };

@@ -1,15 +1,18 @@
 #include "index/kfk_snapshot.h"
 
+#include <limits>
+
 namespace s4 {
 
 StatusOr<std::shared_ptr<const KfkSnapshot::TableKeys>>
 KfkSnapshot::BuildTable(const Table& table) {
   auto keys = std::make_shared<TableKeys>();
   keys->pk = table.IntColumn(table.primary_key_column());
-  // Flat pk -> dense-row index; row ids are stored as uint32, which
-  // bounds an in-memory relation at ~4.29e9 rows.
+  // Dense row ids are stored as int32 in the FK columns (and as uint32
+  // in sub-PJ table slots), which bounds an in-memory relation at
+  // ~2.1e9 rows.
   const std::vector<int64_t>& pks = keys->pk;
-  if (pks.size() >= static_cast<size_t>(FlatMap64::kNotFound)) {
+  if (pks.size() > static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
     return Status::InvalidArgument(
         "table too large for the in-memory kfk snapshot");
   }
@@ -22,13 +25,18 @@ KfkSnapshot::BuildTable(const Table& table) {
 }
 
 std::shared_ptr<const KfkSnapshot::FkKeys> KfkSnapshot::BuildFk(
-    const Database& db, const ForeignKeyDef& fk) {
+    const Database& db, const ForeignKeyDef& fk, const TableKeys& target) {
   auto keys = std::make_shared<FkKeys>();
+  keys->target = fk.dst_table;
   const Table& src = db.table(fk.src_table);
-  keys->fk = src.IntColumn(fk.src_column);
-  keys->valid.resize(static_cast<size_t>(src.NumRows()));
+  const std::vector<int64_t>& values = src.IntColumn(fk.src_column);
+  keys->row.assign(static_cast<size_t>(src.NumRows()), -1);
   for (int64_t r = 0; r < src.NumRows(); ++r) {
-    keys->valid[r] = !src.IsNull(r, fk.src_column);
+    if (src.IsNull(r, fk.src_column)) continue;
+    const uint32_t row = target.pk_row.Find(values[static_cast<size_t>(r)]);
+    if (row != FlatMap64::kNotFound) {
+      keys->row[static_cast<size_t>(r)] = static_cast<int32_t>(row);
+    }
   }
   return keys;
 }
@@ -37,29 +45,20 @@ StatusOr<KfkSnapshot> KfkSnapshot::Build(const Database& db) {
   if (!db.finalized()) {
     return Status::FailedPrecondition("database must be finalized");
   }
-  KfkSnapshot snap;
-  snap.tables_.reserve(db.NumTables());
-  for (TableId t = 0; t < db.NumTables(); ++t) {
-    auto keys = BuildTable(db.table(t));
-    if (!keys.ok()) return keys.status();
-    snap.tables_.push_back(std::move(keys).value());
-  }
-  snap.fks_.reserve(db.foreign_keys().size());
-  for (const ForeignKeyDef& fk : db.foreign_keys()) {
-    snap.fks_.push_back(BuildFk(db, fk));
-  }
-  return snap;
+  return KfkSnapshot().Rebuilt(db, std::vector<bool>(db.NumTables(), true),
+                               {});
 }
 
 StatusOr<KfkSnapshot> KfkSnapshot::Rebuilt(
     const Database& db, const std::vector<bool>& dirty_tables,
     const std::vector<bool>& dirty_fks) const {
+  auto dirty_table = [&](TableId t) {
+    return static_cast<size_t>(t) < dirty_tables.size() && dirty_tables[t];
+  };
   KfkSnapshot snap;
-  snap.tables_.reserve(tables_.size());
-  for (TableId t = 0; t < static_cast<TableId>(tables_.size()); ++t) {
-    const bool dirty =
-        static_cast<size_t>(t) < dirty_tables.size() && dirty_tables[t];
-    if (!dirty) {
+  snap.tables_.reserve(static_cast<size_t>(db.NumTables()));
+  for (TableId t = 0; t < db.NumTables(); ++t) {
+    if (!dirty_table(t)) {
       snap.tables_.push_back(tables_[t]);
       continue;
     }
@@ -67,10 +66,12 @@ StatusOr<KfkSnapshot> KfkSnapshot::Rebuilt(
     if (!keys.ok()) return keys.status();
     snap.tables_.push_back(std::move(keys).value());
   }
-  snap.fks_.reserve(fks_.size());
-  for (size_t i = 0; i < fks_.size(); ++i) {
-    const bool dirty = i < dirty_fks.size() && dirty_fks[i];
-    snap.fks_.push_back(dirty ? BuildFk(db, db.foreign_keys()[i])
+  snap.fks_.reserve(db.foreign_keys().size());
+  for (size_t i = 0; i < db.foreign_keys().size(); ++i) {
+    const ForeignKeyDef& fk = db.foreign_keys()[i];
+    const bool dirty = (i < dirty_fks.size() && dirty_fks[i]) ||
+                       dirty_table(fk.src_table) || dirty_table(fk.dst_table);
+    snap.fks_.push_back(dirty ? BuildFk(db, fk, *snap.tables_[fk.dst_table])
                               : fks_[i]);
   }
   return snap;
@@ -79,26 +80,24 @@ StatusOr<KfkSnapshot> KfkSnapshot::Rebuilt(
 const KfkSnapshot::ReverseFkIndex& KfkSnapshot::ReverseFkOf(
     int32_t fk_index) const {
   const FkKeys& keys = *fks_[fk_index];
-  std::call_once(keys.reverse_once, [&keys] {
-    std::vector<std::pair<int64_t, uint32_t>> pairs;
-    pairs.reserve(keys.fk.size());
-    for (size_t r = 0; r < keys.fk.size(); ++r) {
-      if (keys.valid[r]) {
-        pairs.emplace_back(keys.fk[r], static_cast<uint32_t>(r));
-      }
-    }
-    std::sort(pairs.begin(), pairs.end());
+  const size_t target_rows = tables_[keys.target]->pk.size();
+  std::call_once(keys.reverse_once, [&keys, target_rows] {
+    // Counting sort by target row: a stable scatter keeps each group's
+    // source rows ascending.
     ReverseFkIndex& rev = keys.reverse;
-    rev.rows.reserve(pairs.size());
-    for (size_t i = 0; i < pairs.size();) {
-      const int64_t value = pairs[i].first;
-      const uint32_t start = static_cast<uint32_t>(rev.rows.size());
-      for (; i < pairs.size() && pairs[i].first == value; ++i) {
-        rev.rows.push_back(pairs[i].second);
-      }
-      rev.ranges.emplace(value,
-                         std::make_pair(start, static_cast<uint32_t>(
-                                                   rev.rows.size())));
+    rev.offsets.assign(target_rows + 1, 0);
+    for (int32_t t : keys.row) {
+      if (t >= 0) ++rev.offsets[static_cast<size_t>(t) + 1];
+    }
+    for (size_t r = 0; r < target_rows; ++r) {
+      rev.offsets[r + 1] += rev.offsets[r];
+    }
+    rev.rows.resize(rev.offsets[target_rows]);
+    std::vector<uint32_t> next(rev.offsets.begin(), rev.offsets.end() - 1);
+    for (size_t r = 0; r < keys.row.size(); ++r) {
+      const int32_t t = keys.row[r];
+      if (t < 0) continue;
+      rev.rows[next[static_cast<size_t>(t)]++] = static_cast<uint32_t>(r);
     }
   });
   return keys.reverse;
@@ -109,9 +108,7 @@ size_t KfkSnapshot::ByteSize() const {
   for (const auto& t : tables_) {
     bytes += t->pk.capacity() * sizeof(int64_t) + t->pk_row.ByteSize();
   }
-  for (const auto& f : fks_) {
-    bytes += f->fk.capacity() * sizeof(int64_t) + f->valid.capacity() / 8;
-  }
+  for (const auto& f : fks_) bytes += f->row.capacity() * sizeof(int32_t);
   return bytes;
 }
 

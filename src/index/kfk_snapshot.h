@@ -1,12 +1,10 @@
 #ifndef S4_INDEX_KFK_SNAPSHOT_H_
 #define S4_INDEX_KFK_SNAPSHOT_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,10 +15,12 @@
 namespace s4 {
 
 // In-memory (key, foreign key) snapshot of the database (Sec 3.1): for
-// every relation, its primary-key column and all foreign-key columns are
-// materialized as flat arrays so PJ queries execute without touching the
-// (conceptually on-disk) base tables. Execution plans scan these arrays
-// and perform hash lookups (Appendix B.1).
+// every relation, its primary-key column, and for every foreign key, the
+// dense row id of the referenced row. PJ queries execute without
+// touching the (conceptually on-disk) base tables: Stage II follows an
+// FK by indexing the target's row-numbered sub-PJ table with this
+// column (Appendix B.1's hash join with the hashing resolved once per
+// epoch).
 //
 // Each relation's arrays sit behind a shared_ptr so mutation epochs are
 // cheap: Rebuilt() copies the per-relation pointer vector and rebuilds
@@ -29,34 +29,33 @@ namespace s4 {
 // relations shared across epochs.
 class KfkSnapshot {
  public:
-  // Per-table primary-key arrays plus the flat pk -> dense-row index.
+  // Per-table primary-key array plus the flat pk -> dense-row map the
+  // FK row-id columns are resolved through.
   struct TableKeys {
     std::vector<int64_t> pk;
     FlatMap64 pk_row;
   };
-  // Reverse of one FK column: for a referenced primary-key value, the
-  // dense rows of the FK's source table that point at it (NULL fks
-  // excluded). Row groups are stored contiguously, ascending within a
-  // group, so a lookup is one hash probe plus a contiguous span.
+  // Reverse of one FK column in CSR form: the source rows referencing
+  // target row r are rows[offsets[r] .. offsets[r + 1]), ascending.
   struct ReverseFkIndex {
-    std::unordered_map<int64_t, std::pair<uint32_t, uint32_t>> ranges;
+    std::vector<uint32_t> offsets;  // target rows + 1 entries
     std::vector<uint32_t> rows;
 
-    // Referring rows of `value`, ascending; empty span when nothing
-    // points at it.
-    std::pair<const uint32_t*, const uint32_t*> RowsFor(int64_t value) const {
-      auto it = ranges.find(value);
-      if (it == ranges.end()) {
-        return {rows.data(), rows.data()};
-      }
-      return {rows.data() + it->second.first, rows.data() + it->second.second};
+    // Referring rows of target row `target_row`, ascending; an empty
+    // span when nothing points at it.
+    std::pair<const uint32_t*, const uint32_t*> RowsFor(
+        int64_t target_row) const {
+      const size_t r = static_cast<size_t>(target_row);
+      return {rows.data() + offsets[r], rows.data() + offsets[r + 1]};
     }
   };
 
-  // Per-foreign-key value array plus its NULL bitmap.
+  // One foreign key resolved to row ids: for every source row, the
+  // dense row id of the target row it references, or -1 when the FK is
+  // NULL or dangling.
   struct FkKeys {
-    std::vector<int64_t> fk;
-    std::vector<bool> valid;
+    TableId target = kInvalidTableId;
+    std::vector<int32_t> row;
     // Reverse index, built lazily on first ReverseFkOf call (the
     // forward-only evaluator never pays for it) and shared across
     // epochs for unchanged relations along with the rest of the FkKeys.
@@ -67,11 +66,14 @@ class KfkSnapshot {
   // Builds the snapshot; `db` must be finalized and must outlive it.
   static StatusOr<KfkSnapshot> Build(const Database& db);
 
-  // A copy sharing every relation's arrays except those flagged dirty,
-  // which are rebuilt from `db` (whose mutated state must match what
-  // the caller wants this epoch to see). `dirty_tables` is indexed by
-  // TableId, `dirty_fks` by foreign-key index; short vectors read as
-  // clean.
+  // A copy sharing every relation's arrays except the dirty ones, which
+  // are rebuilt from `db` (whose mutated state must match what the
+  // caller wants this epoch to see). `dirty_tables` is indexed by
+  // TableId and flags relations whose row set changed; `dirty_fks`, by
+  // foreign-key index, flags FK columns whose values changed in place.
+  // An FK column is also rebuilt when either end's relation is dirty:
+  // deletes renumber rows, and inserts can resolve a dangling value.
+  // Short vectors read as clean.
   StatusOr<KfkSnapshot> Rebuilt(const Database& db,
                                 const std::vector<bool>& dirty_tables,
                                 const std::vector<bool>& dirty_fks) const;
@@ -82,56 +84,23 @@ class KfkSnapshot {
   // Primary keys of table `t`, aligned with dense row ids.
   const std::vector<int64_t>& Pk(TableId t) const { return tables_[t]->pk; }
 
-  // FK values of foreign key `fk_index` (index into db.foreign_keys(),
-  // equal to the SchemaEdgeId), aligned with rows of the source table.
-  const std::vector<int64_t>& Fk(int32_t fk_index) const {
-    return fks_[fk_index]->fk;
-  }
-  bool FkValid(int32_t fk_index, int64_t row) const {
-    return fks_[fk_index]->valid[row];
-  }
-  // The whole validity bitmap of `fk_index` — hoist this outside
-  // per-row loops (the evaluator's Stage-II loops do) so the per-row
-  // cost is one bitmap read, not a shared_ptr chase per call.
-  const std::vector<bool>& FkValidColumn(int32_t fk_index) const {
-    return fks_[fk_index]->valid;
+  // Target row ids of foreign key `fk_index` (index into
+  // db.foreign_keys(), equal to the SchemaEdgeId), aligned with rows of
+  // the source table; -1 marks a NULL or dangling FK.
+  const std::vector<int32_t>& FkRow(int32_t fk_index) const {
+    return fks_[fk_index]->row;
   }
 
-  // Reverse index of foreign key `fk_index` (referenced pk value -> the
-  // source-table rows holding it). Built lazily under a once-flag —
-  // thread-safe against concurrent searches — and only by the callers
-  // that walk joins child-ward (the approximate sampler); its bytes are
-  // therefore not part of ByteSize()'s Table-1 accounting.
+  // Reverse index of foreign key `fk_index` (target row -> the source
+  // rows referencing it). Built lazily under a once-flag — thread-safe
+  // against concurrent searches — and only by the callers that walk
+  // joins child-ward (the approximate sampler, best-row output, ES
+  // generation); its bytes are therefore not part of ByteSize()'s
+  // Table-1 accounting.
   const ReverseFkIndex& ReverseFkOf(int32_t fk_index) const;
 
-  // Dense row id of table `t`'s row whose primary key is `pk`, or -1.
-  // A flat open-addressing probe; this is the evaluator's hot pk lookup
-  // (replaces Table::FindByPk's unordered_map on that path).
-  int64_t RowOfPk(TableId t, int64_t pk) const {
-    const uint32_t row = tables_[t]->pk_row.Find(pk);
-    return row == FlatMap64::kNotFound ? -1 : static_cast<int64_t>(row);
-  }
-
-  // Batched RowOfPk over `pks[0..n)` into `rows[0..n)` (-1 for absent
-  // keys): the probes run through FlatMap64::FindBatch, so the pk-index
-  // cache misses overlap instead of serializing one per key.
-  void RowOfPkBatch(TableId t, const int64_t* pks, size_t n,
-                    int64_t* rows) const {
-    const FlatMap64& pk_row = tables_[t]->pk_row;
-    uint32_t ids[FlatMap64::kBatchWidth];
-    for (size_t lo = 0; lo < n; lo += FlatMap64::kBatchWidth) {
-      const size_t m = std::min(n - lo, FlatMap64::kBatchWidth);
-      pk_row.FindBatch(pks + lo, m, ids);
-      for (size_t j = 0; j < m; ++j) {
-        rows[lo + j] = ids[j] == FlatMap64::kNotFound
-                           ? -1
-                           : static_cast<int64_t>(ids[j]);
-      }
-    }
-  }
-
-  // Bytes of all materialized key arrays plus the flat pk->row indexes
-  // (Table 1's "(key,fk) snap." column).
+  // Bytes of the pk arrays, the flat pk->row maps and the FK row-id
+  // columns (Table 1's "(key,fk) snap." column).
   size_t ByteSize() const;
 
   // Creates an empty snapshot; prefer Build().
@@ -141,7 +110,8 @@ class KfkSnapshot {
   static StatusOr<std::shared_ptr<const TableKeys>> BuildTable(
       const Table& table);
   static std::shared_ptr<const FkKeys> BuildFk(const Database& db,
-                                               const ForeignKeyDef& fk);
+                                               const ForeignKeyDef& fk,
+                                               const TableKeys& target);
 
   std::vector<std::shared_ptr<const TableKeys>> tables_;  // per table
   std::vector<std::shared_ptr<const FkKeys>> fks_;        // per foreign key

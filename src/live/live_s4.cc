@@ -311,14 +311,13 @@ class LiveIndexBuilder {
     }
   }
 
-  // Insert/delete change the table's row set: its pk arrays and every
-  // FK array it sources go stale, and its generation bumps.
+  // Insert/delete change the table's row set: its pk arrays go stale,
+  // and so does every FK row-id column it sources or is the target of
+  // (KfkSnapshot::Rebuilt rebuilds those with the table); its
+  // generation bumps.
   void MarkRowSetChanged(TableId t) {
     dirty_tables_[t] = true;
     gen_touched_[t] = true;
-    for (size_t i = 0; i < db_.foreign_keys().size(); ++i) {
-      if (db_.foreign_keys()[i].src_table == t) dirty_fks_[i] = true;
-    }
   }
 
   const IndexSet& prev_;

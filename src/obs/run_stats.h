@@ -26,6 +26,12 @@ namespace s4 {
 //   kPeak    high-water mark (max); published as a max-only Gauge
 // `section` groups the FormatProfile rows; `label` is the row text.
 // List order is the wire order and the report order.
+//
+// hash_lookups and hash_inserts keep their names from the hash-join
+// tables; sub-PJ tables are dense row-id arrays now (DESIGN.md "Dense
+// row-id sub-PJ tables"), and the two count slot probes (one per child
+// probe, one per entry of a reused type-ii table) and slot writes (every
+// scored emit, every new zero-score key).
 #define S4_RUN_STATS_FIELDS(RUN, EVAL, CACHE)                                \
   RUN(double, enum_seconds, kSeconds, "stages", "s4_enum_seconds",           \
       "stage I (enumerate)")                                                 \
@@ -51,9 +57,9 @@ namespace s4 {
   EVAL(int64_t, rows_scanned, kCount, "work", "s4_rows_scanned_total",       \
        "rows scanned")                                                       \
   EVAL(int64_t, hash_lookups, kCount, "work", "s4_hash_lookups_total",       \
-       "hash probes")                                                        \
+       "slot probes")                                                        \
   EVAL(int64_t, hash_inserts, kCount, "work", "s4_hash_inserts_total",       \
-       "hash inserts")                                                       \
+       "slot writes")                                                        \
   EVAL(int64_t, postings_scanned, kCount, "work",                            \
        "s4_postings_scanned_total", "postings scanned")                      \
   EVAL(int64_t, tables_reused, kCount, "cache",                              \

@@ -127,23 +127,26 @@ LinkSpec LinkSpecFor(const JoinTree& tree, TreeNodeId v) {
   if (tree.node(v).parent == kNoNode) return LinkSpec{LinkSpec::Kind::kByPk, -1};
   const JoinTree::Node& n = tree.node(v);
   if (n.parent_holds_fk) return LinkSpec{LinkSpec::Kind::kByPk, -1};
-  return LinkSpec{LinkSpec::Kind::kByFk, n.edge_to_parent};
+  return LinkSpec{LinkSpec::Kind::kByFk, n.edge_to_parent,
+                  tree.node(n.parent).table};
 }
 
 namespace {
 
-// FNV-1a over the (table, generation) pair of one relation instance.
+// splitmix64 finalizer over the (table, generation) pair of one relation
+// instance. Full avalanche matters: RelationGenSuffix sums these over a
+// tree's nodes, and sums of FNV-1a hashes of neighbouring pairs cancel.
+// With FNV-1a, tables 0 and 1 both going from generation 0 to 1 left
+// the sum unchanged, so a cached table survived that mutation.
 uint64_t GenMix(TableId table, uint64_t gen) {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(static_cast<uint32_t>(table), 4);
-  mix(gen, 8);
-  return h;
+  uint64_t x = gen ^ (static_cast<uint64_t>(static_cast<uint32_t>(table)) *
+                      0x9e3779b97f4a7c15ULL);
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
 }
 
 uint64_t NodeGen(const JoinTree& tree, TreeNodeId v,
@@ -174,6 +177,16 @@ std::string RelationGenSuffix(const JoinTree& tree, TreeNodeId v,
     sum += NodeGen(tree, tree.node(v).parent, gens);
   }
   return StrFormat("|G%016llx", static_cast<unsigned long long>(sum));
+}
+
+std::string LinkGenSuffix(const LinkSpec& link,
+                          const std::vector<uint64_t>& gens) {
+  if (gens.empty() || link.kind != LinkSpec::Kind::kByFk) return {};
+  const uint64_t gen = static_cast<size_t>(link.target) < gens.size()
+                           ? gens[link.target]
+                           : 0;
+  return StrFormat("|D%016llx", static_cast<unsigned long long>(
+                                    GenMix(link.target, gen)));
 }
 
 std::string SubtreeCacheKey(const JoinTree& tree,

@@ -22,14 +22,17 @@ struct ProjectionBinding {
 
 // How a sub-PJ query's cached output relation is keyed, i.e. the join
 // attribute that links the sub-PJ's root to the rest of an enclosing
-// query (Appendix B.2).
+// query (Appendix B.2). Keys are dense row ids of the link's *domain*
+// relation: the root's own relation under kByPk, the relation `edge`
+// references (the enclosing parent's) under kByFk.
 struct LinkSpec {
   enum class Kind : uint8_t {
     kByPk,  // keyed by the root relation's primary key
     kByFk,  // keyed by the root's FK value on `edge`
   };
   Kind kind = Kind::kByPk;
-  SchemaEdgeId edge = -1;  // only for kByFk
+  SchemaEdgeId edge = -1;            // only for kByFk
+  TableId target = kInvalidTableId;  // only for kByFk: `edge`'s target
 
   std::string ToString() const;
 };
@@ -124,6 +127,12 @@ class PJQuery {
 // enumeration and the cache-aware evaluator so cache keys agree.
 LinkSpec LinkSpecFor(const JoinTree& tree, TreeNodeId v);
 
+// The relation whose dense row ids number the slots of a table keyed by
+// `link`, for a sub-PJ rooted at a node of relation `root_table`.
+inline TableId LinkDomain(const LinkSpec& link, TableId root_table) {
+  return link.kind == LinkSpec::Kind::kByFk ? link.target : root_table;
+}
+
 // Canonical cache key of the type-i sub-PJ query rooted at `v` of
 // (tree, bindings) when keyed by `link`.
 std::string SubtreeCacheKey(const JoinTree& tree,
@@ -152,6 +161,14 @@ std::string RelationGenSuffix(const JoinTree& tree,
 std::string RelationGenSuffix(const JoinTree& tree, TreeNodeId v,
                               bool include_parent,
                               const std::vector<uint64_t>& gens);
+
+// Generation stamp of a link's domain relation when it lies outside the
+// sub-PJ: a kByFk table's slots are numbered by its target's rows, and
+// a live delete there renumbers them, so every cache key of a kByFk
+// table ends with this. Empty for kByPk links (their domain is the
+// sub-PJ root, already in RelationGenSuffix) and for offline builds.
+std::string LinkGenSuffix(const LinkSpec& link,
+                          const std::vector<uint64_t>& gens);
 
 }  // namespace s4
 

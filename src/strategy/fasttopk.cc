@@ -396,10 +396,12 @@ class FastTopKRun {
       e.subs = rts_[i].cand->query.EnumerateSubQueries();
       for (const SubPJQuery& s : e.subs) {
         // Gen-stamp matches the evaluator's probe keys: a mutation to
-        // any relation of the sub-PJ changes its suffix, so stale cached
+        // any relation of the sub-PJ, or to a kByFk link's target whose
+        // rows number the table, changes its suffix, so stale cached
         // tables from earlier epochs can never be shared.
         auto [it, inserted] = key_ids.try_emplace(
-            s.cache_key + RelationGenSuffix(s.tree, gens) + rts_[i].suffix,
+            s.cache_key + RelationGenSuffix(s.tree, gens) +
+                LinkGenSuffix(s.link, gens) + rts_[i].suffix,
             static_cast<uint32_t>(keys.size()));
         if (inserted) {
           keys.push_back(&it->first);
@@ -428,7 +430,9 @@ class FastTopKRun {
         if (sharers[id] < 2 || cost[id] >= 0) continue;
         cost[id] = EvaluationCost(e.subs[s].tree, e.subs[s].bindings,
                                   prep_.ctx);
-        bytes[id] = EstimateTableBytes(e.subs[s].tree, prep_.ctx);
+        bytes[id] =
+            EstimateTableBytes(e.subs[s].tree, e.subs[s].link, prep_.ctx)
+                .total();
       }
     }
 

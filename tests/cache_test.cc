@@ -14,8 +14,7 @@ namespace s4 {
 namespace {
 
 std::shared_ptr<SubQueryTable> MakeTable(int32_t keys, int32_t es_rows = 3) {
-  auto t = std::make_shared<SubQueryTable>();
-  t->num_es_rows = es_rows;
+  auto t = std::make_shared<SubQueryTable>(keys, es_rows);
   bool fresh = false;
   for (int32_t i = 0; i < keys; ++i) {
     double* row = t->UpsertScored(i, &fresh);
@@ -25,8 +24,7 @@ std::shared_ptr<SubQueryTable> MakeTable(int32_t keys, int32_t es_rows = 3) {
 }
 
 TEST(SubQueryTableTest, FindSemantics) {
-  SubQueryTable t;
-  t.num_es_rows = 2;
+  SubQueryTable t(/*domain_rows=*/4, /*es_rows=*/2);
   bool fresh = false;
   t.UpsertScored(1, &fresh)[0] = 1.0;
   EXPECT_TRUE(fresh);
@@ -49,8 +47,7 @@ TEST(SubQueryTableTest, FindSemantics) {
 }
 
 TEST(SubQueryTableTest, ZeroKeyPromotion) {
-  SubQueryTable t;
-  t.num_es_rows = 2;
+  SubQueryTable t(/*domain_rows=*/8, /*es_rows=*/2);
   EXPECT_TRUE(t.InsertZero(7));
   bool fresh = false;
   double* row = t.UpsertScored(7, &fresh);  // promote zero -> scored
@@ -152,40 +149,35 @@ TEST(SubQueryCacheTest, SharedPtrSurvivesEviction) {
   EXPECT_EQ(held->NumScored(), 50);  // still usable
 }
 
-// ByteSize() is exact: slot arrays at capacity plus the arena
+// ByteSize() is exact: 4 bytes per domain row plus the arena
 // allocation, nothing estimated.
 TEST(SubQueryTableTest, ByteSizeIsExact) {
   auto t = MakeTable(200, /*es_rows=*/5);
-  EXPECT_EQ(t->ByteSize(), sizeof(SubQueryTable) + t->keys.ByteSize() +
+  EXPECT_EQ(t->ByteSize(), sizeof(SubQueryTable) + 200 * sizeof(uint32_t) +
                                t->arena.capacity() * sizeof(double));
-  // The slot arrays alone account for capacity * 12 bytes.
-  EXPECT_EQ(t->keys.ByteSize(), t->keys.capacity() * FlatMap64::kSlotBytes);
 
-  // Growing only the key table (no new entries) must grow ByteSize.
-  SubQueryTable sparse;
-  sparse.num_es_rows = 3;
+  // A sparse table is charged its whole domain, joined or not.
+  SubQueryTable sparse(/*domain_rows=*/4096, /*es_rows=*/3);
   bool fresh = false;
   sparse.UpsertScored(1, &fresh);
-  const size_t before = sparse.ByteSize();
-  sparse.Reserve(4096);
-  EXPECT_GE(sparse.ByteSize(), before + 4096 * FlatMap64::kSlotBytes -
-                                   16 * FlatMap64::kSlotBytes);
+  sparse.ShrinkToFit();
+  EXPECT_EQ(sparse.ByteSize(), sizeof(SubQueryTable) +
+                                   4096 * sizeof(uint32_t) +
+                                   3 * sizeof(double));
 }
 
 TEST(SubQueryCacheTest, BudgetHonoredWithCapacityOverhead) {
-  // An over-reserved but sparse table must be charged for its slot
-  // capacity: a budget sized to its payload alone has to reject it.
-  auto sparse = std::make_shared<SubQueryTable>();
-  sparse->num_es_rows = 3;
+  // A sparse table must be charged for its whole domain's slots: a
+  // budget sized to its joined keys alone has to reject it.
+  auto sparse = std::make_shared<SubQueryTable>(1 << 16, 3);
   bool fresh = false;
   for (int32_t i = 0; i < 4; ++i) {
     double* row = sparse->UpsertScored(i, &fresh);
     row[0] = 1.0;
   }
-  sparse->Reserve(1u << 16);
   const size_t payload_only =
       sizeof(SubQueryTable) +
-      sparse->NumScored() * (FlatMap64::kSlotBytes + 3 * sizeof(double));
+      sparse->NumScored() * (sizeof(uint32_t) + 3 * sizeof(double));
   SubQueryCache cache(payload_only * 2);
   EXPECT_FALSE(cache.Add("sparse", sparse));
   EXPECT_EQ(cache.stats().rejected_too_large, 1);

@@ -165,24 +165,56 @@ TEST_F(EvaluatorTest, CostModelDiscounts) {
   }
 }
 
-// Sub-PJ evaluation honors the byFk link: keys must be FK values of the
-// sub-PJ root's rows.
+// EstimateTableBytes against the tables a small run builds: the slot
+// term is exactly the table's slot bytes, and the arena term bounds its
+// arena from above.
+TEST_F(EvaluatorTest, TableBytesEstimateSlotTermIsExact) {
+  int64_t checked = 0;
+  for (const CandidateQuery& c : result_.candidates) {
+    for (const SubPJQuery& sub : c.query.EnumerateSubQueries()) {
+      Evaluator ev(ctx_);
+      EvalCounters counters;
+      auto table = ev.EvaluateSub(sub, nullptr, &counters);
+      const TableBytesEstimate est =
+          EstimateTableBytes(sub.tree, sub.link, ctx_);
+      EXPECT_EQ(est.slot_bytes, sizeof(SubQueryTable) +
+                                    table->slots.capacity() *
+                                        sizeof(uint32_t));
+      EXPECT_GE(est.arena_bytes, table->arena.capacity() * sizeof(double));
+      EXPECT_EQ(table->ByteSize(),
+                est.slot_bytes + table->arena.capacity() * sizeof(double));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// Sub-PJ evaluation honors the link: keys are dense row ids of the
+// link's domain — the root's rows under kByPk, and under kByFk the
+// target rows that some root row's FK references.
 TEST_F(EvaluatorTest, SubPjLinkKeys) {
+  const KfkSnapshot& snap = TpchIndex().snapshot();
   for (const CandidateQuery& c : result_.candidates) {
     for (const SubPJQuery& sub : c.query.EnumerateSubQueries()) {
       Evaluator ev(ctx_);
       EvalCounters counters;
       auto table = ev.EvaluateSub(sub, nullptr, &counters);
       ASSERT_NE(table, nullptr);
-      if (sub.link.kind == LinkSpec::Kind::kByPk) {
-        // Keys must be primary keys of the root table.
-        const Table& root =
-            TpchIndex().db().table(sub.tree.node(0).table);
-        table->ForEachScored([&](int64_t key, const double* sims) {
-          (void)sims;
-          EXPECT_GE(root.FindByPk(key), 0);
-        });
+      const TableId root = sub.tree.node(0).table;
+      const TableId domain = LinkDomain(sub.link, root);
+      ASSERT_EQ(table->DomainRows(), snap.NumRows(domain));
+      std::vector<bool> referenced(static_cast<size_t>(snap.NumRows(domain)),
+                                   sub.link.kind == LinkSpec::Kind::kByPk);
+      if (sub.link.kind == LinkSpec::Kind::kByFk) {
+        ASSERT_EQ(snap.FkRow(sub.link.edge).size(),
+                  static_cast<size_t>(snap.NumRows(root)));
+        for (int32_t row : snap.FkRow(sub.link.edge)) {
+          if (row >= 0) referenced[static_cast<size_t>(row)] = true;
+        }
       }
+      table->ForEachEntry([&](int64_t key, const double*) {
+        EXPECT_TRUE(referenced[static_cast<size_t>(key)]) << key;
+      });
     }
   }
 }

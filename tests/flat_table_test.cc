@@ -1,8 +1,9 @@
-// Differential coverage of the flat open-addressing layout: FlatMap64
-// and the arena-backed SubQueryTable are pitted against reference
-// chained-hash models (unordered_map + unordered_set) under randomized
-// operation streams, and the budgeted cache's eviction order under the
-// exact ByteSize is replayed against a reference LRU model.
+// Differential coverage of the table layouts: FlatMap64 (the snapshot's
+// pk -> row map) and the dense-slot, arena-backed SubQueryTable are
+// pitted against reference chained-hash models (unordered_map +
+// unordered_set) under randomized operation streams, and the budgeted
+// cache's eviction order under the exact ByteSize is replayed against a
+// reference LRU model.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
@@ -69,10 +70,10 @@ TEST(FlatMap64Test, ReserveAvoidsGrowthAndCapacityForMatches) {
   EXPECT_EQ(m.ByteSize(), cap * FlatMap64::kSlotBytes);
 }
 
-// Exact heap accounting including the tag array: the cache budget in
-// SubQueryCache (and EstimateTableBytes in the cost model) multiply
-// CapacityFor by kSlotBytes, so kSlotBytes must cover every parallel
-// array byte — 8 key + 4 value + 1 tag per slot, allocated exactly.
+// Exact heap accounting including the tag array: the snapshot's
+// ByteSize (Table 1) charges the map CapacityFor * kSlotBytes, so
+// kSlotBytes must cover every parallel array byte — 8 key + 4 value +
+// 1 tag per slot, allocated exactly.
 TEST(FlatMap64Test, ByteSizeCoversTagArrayExactly) {
   FlatMap64 m;
   EXPECT_EQ(m.ByteSize(), 0u);
@@ -93,96 +94,38 @@ TEST(FlatMap64Test, ByteSizeCoversTagArrayExactly) {
   }
 }
 
-// Randomized differential coverage of the batched probe path: FindBatch
-// must return exactly what per-key Find returns — across key
-// distributions (clustered, extreme, missing), zero-score sentinel rows,
-// and growth during interleaved inserts — on whichever backend
-// (SIMD or the S4_DISABLE_SIMD scalar fallback) this binary compiled in.
-TEST(FlatMap64Test, FindBatchMatchesFindDifferential) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    std::mt19937_64 rng(seed);
-    FlatMap64 m;
-    std::vector<int64_t> inserted_keys;
-    const int64_t key_space = 1 + static_cast<int64_t>(rng() % 100000);
-    const int64_t extremes[] = {0, -1, 1,
-                                std::numeric_limits<int64_t>::min(),
-                                std::numeric_limits<int64_t>::max()};
-    bool inserted = false;
-    for (int round = 0; round < 40; ++round) {
-      // Insert a burst (crossing growth boundaries as the table fills).
-      const int burst = 1 + static_cast<int>(rng() % 500);
-      for (int i = 0; i < burst; ++i) {
-        const int64_t k = (rng() % 16 == 0)
-                              ? extremes[rng() % 5]
-                              : static_cast<int64_t>(rng() % key_space) * 7 -
-                                    key_space;
-        m.FindOrInsert(k, static_cast<uint32_t>(rng() % 1000), &inserted);
-        if (inserted) inserted_keys.push_back(k);
-      }
-      // Probe a mixed batch: present keys, absent keys, extremes, and
-      // awkward batch lengths (0, 1, partial and multiple chunks).
-      const size_t n = rng() % 70;
-      std::vector<int64_t> probes(n);
-      for (size_t i = 0; i < n; ++i) {
-        switch (rng() % 3) {
-          case 0:
-            probes[i] = inserted_keys[rng() % inserted_keys.size()];
-            break;
-          case 1:
-            probes[i] = static_cast<int64_t>(rng());  // almost surely absent
-            break;
-          default:
-            probes[i] = extremes[rng() % 5];
-        }
-      }
-      std::vector<uint32_t> got(n, 12345);
-      m.FindBatch(probes.data(), n, got.data());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], m.Find(probes[i])) << "seed " << seed << " round "
-                                             << round << " probe " << i;
-      }
-    }
-  }
-  // Empty-table batch: everything misses.
-  FlatMap64 empty;
-  int64_t keys[3] = {1, -2, 3};
-  uint32_t out[3];
-  empty.FindBatch(keys, 3, out);
-  for (uint32_t v : out) EXPECT_EQ(v, FlatMap64::kNotFound);
-}
-
-// SubQueryTable::FindBatch must agree with Find on pointers-and-existence
-// semantics, including kZeroRow sentinel keys (exists, null row).
-TEST(SubQueryTableTest, FindBatchMatchesFindWithZeroSentinels) {
+// ForEachEntry must visit exactly the keys Find reports as joining, in
+// ascending order, with Find's row pointers — including kZeroRow
+// sentinel keys (exists, null row).
+TEST(SubQueryTableTest, ForEachEntryMatchesFindWithZeroSentinels) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     std::mt19937_64 rng(seed);
-    SubQueryTable table;
-    table.num_es_rows = 1 + static_cast<int32_t>(rng() % 7);
-    const int64_t key_space = 1 + static_cast<int64_t>(rng() % 5000);
+    const int64_t domain = 1 + static_cast<int64_t>(rng() % 5000);
+    SubQueryTable table(domain, 1 + static_cast<int32_t>(rng() % 7));
     bool fresh = false;
     for (int op = 0; op < 8000; ++op) {
-      const int64_t key = static_cast<int64_t>(rng() % key_space) * 11 - 99;
+      const int64_t key = static_cast<int64_t>(rng() % domain);
       if (rng() % 4 == 0) {
         table.InsertZero(key);
       } else {
         table.UpsertScored(key, &fresh)[rng() % table.num_es_rows] += 1.0;
       }
     }
-    std::vector<int64_t> probes(333);
-    for (int64_t& p : probes) {
-      p = static_cast<int64_t>(rng() % (2 * key_space)) * 11 - 99;
-    }
-    std::vector<const double*> rows(probes.size());
-    // std::vector<bool> has no data(); collect through a byte array.
-    std::vector<char> exists_raw(probes.size());
-    table.FindBatch(probes.data(), probes.size(), rows.data(),
-                    reinterpret_cast<bool*>(exists_raw.data()));
-    for (size_t i = 0; i < probes.size(); ++i) {
+    int64_t next = 0;
+    int64_t visited = 0;
+    table.ForEachEntry([&](int64_t key, const double* row) {
+      for (; next < key; ++next) {
+        bool e = true;
+        EXPECT_EQ(table.Find(next, &e), nullptr);
+        EXPECT_FALSE(e) << "key " << next;
+      }
       bool e = false;
-      const double* r = table.Find(probes[i], &e);
-      ASSERT_EQ(static_cast<bool>(exists_raw[i]), e) << "probe " << i;
-      ASSERT_EQ(rows[i], r) << "probe " << i;
-    }
+      EXPECT_EQ(table.Find(key, &e), row) << "key " << key;
+      EXPECT_TRUE(e) << "key " << key;
+      next = key + 1;
+      ++visited;
+    });
+    EXPECT_EQ(visited, table.NumKeys());
   }
 }
 
@@ -203,8 +146,8 @@ TEST(FlatMap64Test, ForEachVisitsEveryEntryOnce) {
   EXPECT_EQ(seen, model);
 }
 
-// Reference model of the legacy SubQueryTable layout.
-struct LegacyModel {
+// Reference model of a SubQueryTable: chained hashing.
+struct ReferenceModel {
   int32_t num_es_rows = 0;
   std::unordered_map<int64_t, std::vector<double>> scored;
   std::unordered_set<int64_t> zero;
@@ -220,21 +163,20 @@ struct LegacyModel {
   }
 };
 
-// Randomized differential test: the flat-arena table must agree with the
+// Randomized differential test: the dense table must agree with the
 // chained-hash reference on every operation's outcome, on Find existence
 // semantics, on iteration, and ByteSize must cover the malloc'd payload.
 TEST(SubQueryTableDifferentialTest, MatchesReferenceModel) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     std::mt19937_64 rng(seed);
     const int32_t es_rows = 1 + static_cast<int32_t>(rng() % 20);
-    SubQueryTable flat;
-    flat.num_es_rows = es_rows;
-    LegacyModel model;
+    const int64_t key_space = 1 + static_cast<int64_t>(rng() % 4000);
+    SubQueryTable flat(key_space, es_rows);
+    ReferenceModel model;
     model.num_es_rows = es_rows;
 
-    const int64_t key_space = 1 + static_cast<int64_t>(rng() % 4000);
     for (int op = 0; op < 20000; ++op) {
-      const int64_t key = static_cast<int64_t>(rng() % key_space) * 31 - 777;
+      const int64_t key = static_cast<int64_t>(rng() % key_space);
       switch (rng() % 4) {
         case 0: {  // scored upsert with max-merge, like the emit kernel
           const int32_t t = static_cast<int32_t>(rng() % es_rows);
@@ -284,7 +226,9 @@ TEST(SubQueryTableDifferentialTest, MatchesReferenceModel) {
     EXPECT_EQ(flat.NumScored(), static_cast<int64_t>(model.scored.size()));
     EXPECT_EQ(flat.NumZero(), static_cast<int64_t>(model.zero.size()));
     std::unordered_set<int64_t> keys_seen;
-    flat.ForEachKey([&](int64_t k) { EXPECT_TRUE(keys_seen.insert(k).second); });
+    flat.ForEachEntry([&](int64_t k, const double*) {
+      EXPECT_TRUE(keys_seen.insert(k).second);
+    });
     EXPECT_EQ(keys_seen.size(), model.scored.size() + model.zero.size());
     for (const auto& [k, v] : model.scored) {
       (void)v;
@@ -303,9 +247,8 @@ TEST(SubQueryTableDifferentialTest, MatchesReferenceModel) {
     EXPECT_EQ(scored_seen, flat.NumScored());
 
     // Exact accounting: ByteSize covers every malloc'd payload byte.
-    const size_t payload =
-        flat.keys.capacity() * FlatMap64::kSlotBytes +
-        flat.arena.capacity() * sizeof(double);
+    const size_t payload = static_cast<size_t>(key_space) * sizeof(uint32_t) +
+                           flat.arena.capacity() * sizeof(double);
     EXPECT_GE(flat.ByteSize(), payload);
     EXPECT_EQ(flat.ByteSize(), sizeof(SubQueryTable) + payload);
     flat.ShrinkToFit();
@@ -365,8 +308,7 @@ class LruModel {
 };
 
 std::shared_ptr<SubQueryTable> TableWithKeys(int32_t keys, int32_t es_rows) {
-  auto t = std::make_shared<SubQueryTable>();
-  t->num_es_rows = es_rows;
+  auto t = std::make_shared<SubQueryTable>(keys, es_rows);
   bool fresh = false;
   for (int32_t i = 0; i < keys; ++i) {
     t->UpsertScored(i, &fresh)[0] = 1.0;

@@ -70,12 +70,12 @@ TEST(KfkSnapshotTest, FkArraysAligned) {
   const auto& fks = TpchDb().foreign_keys();
   for (size_t e = 0; e < fks.size(); ++e) {
     const Table& src = TpchDb().table(fks[e].src_table);
-    ASSERT_EQ(snap.Fk(static_cast<int32_t>(e)).size(),
-              static_cast<size_t>(src.NumRows()));
+    const Table& dst = TpchDb().table(fks[e].dst_table);
+    const std::vector<int32_t>& rows = snap.FkRow(static_cast<int32_t>(e));
+    ASSERT_EQ(rows.size(), static_cast<size_t>(src.NumRows()));
     for (int64_t r = 0; r < src.NumRows(); ++r) {
-      EXPECT_TRUE(snap.FkValid(static_cast<int32_t>(e), r));
-      EXPECT_EQ(snap.Fk(static_cast<int32_t>(e))[r],
-                src.GetInt(r, fks[e].src_column));
+      ASSERT_GE(rows[r], 0);
+      EXPECT_EQ(rows[r], dst.FindByPk(src.GetInt(r, fks[e].src_column)));
     }
   }
 }

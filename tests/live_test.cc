@@ -512,6 +512,136 @@ TEST(LiveServiceCacheTest, UnrelatedRelationEntriesSurviveMutation) {
   ExpectBitIdentical(*ref, *fifth, "post-invalidate-all");
 }
 
+// Country <- Person <- Pet, sized so canonical rooting puts the smaller
+// relation at the root: Pet's sub-PJ tables are keyed by FK into
+// Person (kByFk) and Person's by FK into Country. Sub-PJ table slots
+// are numbered by the link's domain relation, so a delete there
+// renumbers them without touching the linked relation itself.
+Database MakePetDb() {
+  Database db;
+  Table* country = db.AddTable("Country").value();
+  (void)country->AddColumn("Id", ColumnType::kInt64);
+  (void)country->AddColumn("Name", ColumnType::kText);
+  (void)country->SetPrimaryKey(0);
+  const char* countries[] = {"USA", "Canada", "Mexico"};
+  for (int64_t i = 0; i < 3; ++i) {
+    (void)country->AppendRow({Value::Int(i + 1), Value::Text(countries[i])});
+  }
+  Table* person = db.AddTable("Person").value();
+  (void)person->AddColumn("Id", ColumnType::kInt64);
+  (void)person->AddColumn("Name", ColumnType::kText);
+  (void)person->AddColumn("CountryId", ColumnType::kInt64);
+  (void)person->SetPrimaryKey(0);
+  const char* people[] = {"Rick", "Julie", "Kevin", "Maria", "Omar", "Lena"};
+  for (int64_t i = 0; i < 6; ++i) {
+    (void)person->AppendRow({Value::Int(i + 1), Value::Text(people[i]),
+                             Value::Int(1 + i % 3)});
+  }
+  Table* pet = db.AddTable("Pet").value();
+  (void)pet->AddColumn("Id", ColumnType::kInt64);
+  (void)pet->AddColumn("Name", ColumnType::kText);
+  (void)pet->AddColumn("OwnerId", ColumnType::kInt64);
+  (void)pet->SetPrimaryKey(0);
+  const char* pets[] = {"Rex",  "Tom",   "Bella", "Max",   "Luna",
+                        "Coco", "Rocky", "Daisy", "Simba", "Nala"};
+  for (int64_t i = 0; i < 10; ++i) {
+    (void)pet->AppendRow({Value::Int(i + 1), Value::Text(pets[i]),
+                          Value::Int(1 + (i * 7) % 6)});
+  }
+  if (!db.AddForeignKey("Person", "CountryId", "Country").ok()) abort();
+  if (!db.AddForeignKey("Pet", "OwnerId", "Person").ok()) abort();
+  if (!db.Finalize().ok()) abort();
+  return db;
+}
+
+// Searches one service and a from-scratch S4System over the service's
+// current database with the same FASTTOPK options, and requires
+// bit-identical answers.
+class PetServiceHarness {
+ public:
+  PetServiceHarness() {
+    auto live = LiveS4System::Create(MakePetDb());
+    if (!live.ok()) abort();
+    live_ = std::move(*live);
+    ServiceOptions sopts;
+    sopts.num_workers = 1;
+    service_ = std::make_unique<S4Service>(*live_, sopts);
+    options_.k = 8;
+    options_.num_threads = 1;
+  }
+
+  S4Service& service() { return *service_; }
+
+  // The service's answer, checked against a fresh rebuild.
+  void SearchAndCompare(const std::string& label) {
+    ServiceRequest req;
+    req.cells = Sheet();
+    req.options = options_;
+    auto got = service_->Search(std::move(req));
+    ASSERT_TRUE(got.ok()) << got.status();
+    auto rebuilt = S4System::Create(live_->db());
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    auto ref = (*rebuilt)->Search(Sheet(), options_);
+    ASSERT_TRUE(ref.ok()) << ref.status();
+    ASSERT_FALSE(ref->topk.empty()) << label;
+    ExpectBitIdentical(*ref, *got, label);
+  }
+
+  void Mutate(Mutation m) {
+    auto applied = service_->Mutate({std::move(m)});
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    ASSERT_EQ(applied->applied, 1);
+  }
+
+ private:
+  static Cells Sheet() {
+    return {{"Rick", "USA", "Rex"}, {"Julie", "Canada", "Tom"},
+            {"Omar", "", "Luna"}};
+  }
+
+  std::unique_ptr<LiveS4System> live_;
+  std::unique_ptr<S4Service> service_;
+  SearchOptions options_;
+};
+
+// A kByFk table cached in the shared cache is numbered by its target's
+// rows. Deleting a row of the target alone (a non-last row, so the
+// last one moves into its slot) must retire the table even though the
+// table's own relation is untouched.
+TEST(LiveServiceCacheTest, ByFkTableRetiresWhenItsTargetRenumbers) {
+  PetServiceHarness h;
+  h.SearchAndCompare("cold");
+  h.SearchAndCompare("warm");
+  ASSERT_GT(h.service().stats().shared_cache.hits, 0);
+  ASSERT_GT(h.service().shared_cache().bytes_used(), 0u);
+  // Deleting Person 2 moves Person 6 into its row and leaves Person 2's
+  // pets (2 and 8) dangling.
+  h.Mutate(Mutation::Delete("Person", 2));
+  h.SearchAndCompare("after deleting a Person row");
+  // Same for Country, the target of Person's FK.
+  h.Mutate(Mutation::Delete("Country", 1));
+  h.SearchAndCompare("after deleting a Country row");
+}
+
+// Deleting a referenced row leaves its referrers' FKs dangling, and
+// re-inserting a row with that primary key resolves them again. Both
+// answers, each searched through warm cached sub-PJs, must equal
+// from-scratch rebuilds.
+TEST(LiveServiceCacheTest, DanglingFkResolvesOnReinsert) {
+  PetServiceHarness h;
+  h.SearchAndCompare("cold");
+  h.SearchAndCompare("warm");
+  ASSERT_GT(h.service().shared_cache().bytes_used(), 0u);
+  // Person 1 (Rick) owns pets 1 and 7: their OwnerId now dangles.
+  h.Mutate(Mutation::Delete("Person", 1));
+  h.SearchAndCompare("dangling");
+  h.SearchAndCompare("dangling, warm");
+  h.Mutate(Mutation::Insert(
+      "Person", {Value::Int(1), Value::Text("Rick"), Value::Int(1)}));
+  h.SearchAndCompare("re-inserted");
+  h.SearchAndCompare("re-inserted, warm");
+}
+
 // ---------------------------------------------------------------------
 // Concurrent searches during mutations (tsan suite): every observed
 // top-k must equal one epoch-consistent from-scratch rebuild.

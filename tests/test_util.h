@@ -118,26 +118,26 @@ class BruteForceEvaluator {
   void Assign(const PJQuery& q, const JoinTree& tree, TreeNodeId v,
               std::vector<int64_t>* rows, std::vector<double>* best) {
     const Database& db = index_->db();
-    const KfkSnapshot& snap = index_->snapshot();
     const TableId table = tree.node(v).table;
     auto descend = [&](int64_t row) {
       (*rows)[v] = row;
-      // Verify the join predicate with the parent.
+      // Verify the join predicate with the parent on the base tables'
+      // values, independently of the snapshot's FK row-id columns.
       if (v != tree.root()) {
         const JoinTree::Node& n = tree.node(v);
         const int64_t parent_row = (*rows)[n.parent];
-        const TableId parent_table = tree.node(n.parent).table;
-        int64_t fk, pk;
-        if (n.parent_holds_fk) {
-          if (!snap.FkValid(n.edge_to_parent, parent_row)) return;
-          fk = snap.Fk(n.edge_to_parent)[parent_row];
-          pk = snap.Pk(table)[row];
-        } else {
-          if (!snap.FkValid(n.edge_to_parent, row)) return;
-          fk = snap.Fk(n.edge_to_parent)[row];
-          pk = snap.Pk(parent_table)[parent_row];
+        const ForeignKeyDef& def = db.foreign_keys()[n.edge_to_parent];
+        const Table& pt = db.table(tree.node(n.parent).table);
+        const Table& vt = db.table(table);
+        const Table& src = n.parent_holds_fk ? pt : vt;
+        const Table& dst = n.parent_holds_fk ? vt : pt;
+        const int64_t src_row = n.parent_holds_fk ? parent_row : row;
+        const int64_t dst_row = n.parent_holds_fk ? row : parent_row;
+        if (src.IsNull(src_row, def.src_column)) return;
+        if (src.GetInt(src_row, def.src_column) !=
+            dst.GetInt(dst_row, dst.primary_key_column())) {
+          return;
         }
-        if (fk != pk) return;
       }
       if (v + 1 == tree.size()) {
         Score(q, *rows, best);

@@ -2,8 +2,9 @@
 #define S4_COMMON_SIMD_H_
 
 // Compile-time-dispatched 16-lane byte comparison, the primitive behind
-// FlatMap64's tag-filtered probe walks. Exactly one backend is selected
-// when this header is compiled:
+// the tag-filtered probe walks of the flat hash map in
+// src/cache/flat_table.h. Exactly one backend is selected when this
+// header is compiled:
 //
 //   - SSE2 on x86-64 (baseline for every 64-bit x86, no -m flags needed)
 //   - NEON on AArch64
@@ -13,7 +14,7 @@
 //     identical masks for identical inputs, so switching backends can
 //     never change a lookup result.
 //
-// The shim deliberately exposes only what the hash-table hot path needs:
+// The shim deliberately exposes only what those probe walks need:
 // one 16-byte equality test returning a 16-bit lane mask, plus ffs-style
 // mask iteration helpers.
 
@@ -29,7 +30,8 @@
 
 namespace s4::simd {
 
-// Lanes compared per call; FlatMap64 sizes its probe groups to match.
+// Lanes compared per call; the flat hash map sizes its probe groups to
+// match.
 inline constexpr int kGroupWidth = 16;
 
 // Name of the backend compiled in (surfaced by benches and tests so a

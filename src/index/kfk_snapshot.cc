@@ -16,10 +16,18 @@ KfkSnapshot::BuildTable(const Table& table) {
     return Status::InvalidArgument(
         "table too large for the in-memory kfk snapshot");
   }
-  keys->pk_row.Reserve(pks.size());
-  bool inserted = false;
-  for (size_t r = 0; r < pks.size(); ++r) {
-    keys->pk_row.FindOrInsert(pks[r], static_cast<uint32_t>(r), &inserted);
+  // Consecutive keys (in wrapping uint64 arithmetic) need no map.
+  const uint64_t base = pks.empty() ? 0 : static_cast<uint64_t>(pks[0]);
+  bool consecutive = true;
+  for (size_t r = 1; r < pks.size() && consecutive; ++r) {
+    consecutive = static_cast<uint64_t>(pks[r]) - base == r;
+  }
+  if (!consecutive) {
+    keys->pk_row.Reserve(pks.size());
+    bool inserted = false;
+    for (size_t r = 0; r < pks.size(); ++r) {
+      keys->pk_row.FindOrInsert(pks[r], static_cast<uint32_t>(r), &inserted);
+    }
   }
   return std::shared_ptr<const TableKeys>(std::move(keys));
 }
@@ -33,10 +41,8 @@ std::shared_ptr<const KfkSnapshot::FkKeys> KfkSnapshot::BuildFk(
   keys->row.assign(static_cast<size_t>(src.NumRows()), -1);
   for (int64_t r = 0; r < src.NumRows(); ++r) {
     if (src.IsNull(r, fk.src_column)) continue;
-    const uint32_t row = target.pk_row.Find(values[static_cast<size_t>(r)]);
-    if (row != FlatMap64::kNotFound) {
-      keys->row[static_cast<size_t>(r)] = static_cast<int32_t>(row);
-    }
+    keys->row[static_cast<size_t>(r)] =
+        static_cast<int32_t>(target.RowOf(values[static_cast<size_t>(r)]));
   }
   return keys;
 }

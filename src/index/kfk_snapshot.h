@@ -29,11 +29,27 @@ namespace s4 {
 // relations shared across epochs.
 class KfkSnapshot {
  public:
-  // Per-table primary-key array plus the flat pk -> dense-row map the
-  // FK row-id columns are resolved through.
+  // Per-table primary-key array plus the pk -> dense-row lookup the FK
+  // row-id columns are resolved through.
   struct TableKeys {
     std::vector<int64_t> pk;
+    // Built only when the keys are not consecutive. Generated and bulk-
+    // loaded relations usually number their keys pk[0], pk[0] + 1, ...,
+    // and then a key's row is its offset from pk[0].
     FlatMap64 pk_row;
+
+    // Dense row of the row whose primary key is `key`, or -1.
+    int64_t RowOf(int64_t key) const {
+      if (pk_row.empty()) {
+        if (pk.empty()) return -1;
+        // Offsets wrap like the consecutiveness check in BuildTable.
+        const uint64_t r =
+            static_cast<uint64_t>(key) - static_cast<uint64_t>(pk[0]);
+        return r < pk.size() ? static_cast<int64_t>(r) : -1;
+      }
+      const uint32_t row = pk_row.Find(key);
+      return row == FlatMap64::kNotFound ? -1 : static_cast<int64_t>(row);
+    }
   };
   // Reverse of one FK column in CSR form: the source rows referencing
   // target row r are rows[offsets[r] .. offsets[r + 1]), ascending.

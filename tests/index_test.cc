@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "index/index_set.h"
+#include "index/kfk_snapshot.h"
+#include "storage/database.h"
 #include "tests/test_util.h"
 
 namespace s4 {
@@ -76,6 +78,44 @@ TEST(KfkSnapshotTest, FkArraysAligned) {
     for (int64_t r = 0; r < src.NumRows(); ++r) {
       ASSERT_GE(rows[r], 0);
       EXPECT_EQ(rows[r], dst.FindByPk(src.GetInt(r, fks[e].src_column)));
+    }
+  }
+}
+
+// FK row-id columns resolve through both pk -> row lookups: the offset
+// arithmetic for consecutive keys and the hash map otherwise. NULL and
+// dangling values resolve to -1.
+TEST(KfkSnapshotTest, FkRowsResolveConsecutiveAndScatteredKeys) {
+  for (const std::vector<int64_t>& pks :
+       {std::vector<int64_t>{5, 6, 7}, std::vector<int64_t>{10, 3, 7}}) {
+    Database db;
+    Table* parent = db.AddTable("Parent").value();
+    ASSERT_TRUE(parent->AddColumn("Id", ColumnType::kInt64).ok());
+    ASSERT_TRUE(parent->SetPrimaryKey(0).ok());
+    for (int64_t pk : pks) {
+      ASSERT_TRUE(parent->AppendRow({Value::Int(pk)}).ok());
+    }
+    Table* child = db.AddTable("Child").value();
+    ASSERT_TRUE(child->AddColumn("Id", ColumnType::kInt64).ok());
+    ASSERT_TRUE(child->AddColumn("ParentId", ColumnType::kInt64).ok());
+    ASSERT_TRUE(child->SetPrimaryKey(0).ok());
+    const std::vector<Value> fks = {Value::Int(pks[2]), Value::Int(pks[1]),
+                                    Value::Null(), Value::Int(99),
+                                    Value::Int(4), Value::Int(pks[0])};
+    for (size_t i = 0; i < fks.size(); ++i) {
+      ASSERT_TRUE(
+          child->AppendRow({Value::Int(static_cast<int64_t>(i)), fks[i]}).ok());
+    }
+    ASSERT_TRUE(db.AddForeignKey("Child", "ParentId", "Parent").ok());
+    ASSERT_TRUE(db.Finalize(/*check_integrity=*/false).ok());
+    auto snap = KfkSnapshot::Build(db);
+    ASSERT_TRUE(snap.ok()) << snap.status();
+    EXPECT_EQ(snap->FkRow(0), (std::vector<int32_t>{2, 1, -1, -1, -1, 0}));
+    const KfkSnapshot::ReverseFkIndex& rev = snap->ReverseFkOf(0);
+    for (int64_t r = 0; r < 3; ++r) {
+      auto [lo, hi] = rev.RowsFor(r);
+      ASSERT_EQ(hi - lo, 1) << r;
+      EXPECT_EQ(snap->FkRow(0)[*lo], r);
     }
   }
 }

@@ -135,9 +135,9 @@ namespace {
 
 // splitmix64 finalizer over the (table, generation) pair of one relation
 // instance. Full avalanche matters: RelationGenSuffix sums these over a
-// tree's nodes, and sums of FNV-1a hashes of neighbouring pairs cancel.
-// With FNV-1a, tables 0 and 1 both going from generation 0 to 1 left
-// the sum unchanged, so a cached table survived that mutation.
+// tree's nodes, and sums of weakly mixed hashes of neighbouring pairs
+// can cancel, so a cached table would survive a mutation of two of its
+// relations.
 uint64_t GenMix(TableId table, uint64_t gen) {
   uint64_t x = gen ^ (static_cast<uint64_t>(static_cast<uint32_t>(table)) *
                       0x9e3779b97f4a7c15ULL);
